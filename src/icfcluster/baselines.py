@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cluster import EIG_CLAMP, ClusterModel, lloyd
+from .cluster import EIG_CLAMP, ClusterModel, _one_hot, lloyd
 from .data import Dataset
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_column, kernel_diag
 
@@ -123,7 +123,6 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
 
 def _approx_solve(dataset: Dataset, spec: KernelSpec, K_MB: np.ndarray, K_BB: np.ndarray,
                   k: int, seed: int, max_iter: int, tol: float) -> ClusterModel:
-    n, m = K_MB.shape
     diag = kernel_diag(spec, dataset)
     pinv = _psd_pinv(K_BB)
     alphas = _init_restricted(diag, K_MB, K_BB, k, seed)
@@ -140,9 +139,7 @@ def _approx_solve(dataset: Dataset, spec: KernelSpec, K_MB: np.ndarray, K_BB: np
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros((k, m))
-        np.add.at(sums, assign, K_MB)
-        alphas = (sums / counts[:, None]) @ pinv
+        alphas = ((_one_hot(assign, k) @ K_MB) / counts[:, None]) @ pinv
         iterations += 1
         obj = _restricted_objective(diag, K_MB, K_BB, alphas, assign)
         if np.isfinite(prev_obj) and prev_obj - obj <= tol * prev_obj:

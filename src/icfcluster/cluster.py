@@ -21,6 +21,9 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 # treated as zero when embedding a PSD matrix
 EIG_CLAMP = 1e-12
 
+# entries per block of the difference passes in _sq_dists (512 KB)
+_BLOCK_SIZE = 1 << 16
+
 
 @dataclass(eq=False)
 class ClusterModel:
@@ -55,17 +58,17 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     The first center is uniform; each later one is drawn with probability
     proportional to squared distance from the nearest chosen center.  When
     every remaining point coincides with a chosen center the draw falls back
-    to uniform over the unchosen indices.  Rows are made contiguous once at
-    entry (a factor's P is a column-major view), since the distance passes
-    read them row by row.
+    to uniform over the unchosen indices.  Points are read in place, in any
+    memory layout (a factor's P is column-major); the draws do not depend on
+    the layout.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to(points, points[chosen[0]])
+    d2 = _sq_dists(points, points[chosen[0]])
     for _ in range(1, k):
         d2[chosen] = 0.0
         total = float(d2.sum())
@@ -75,7 +78,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(remaining))
         chosen.append(idx)
-        np.minimum(d2, _sq_dists_to(points, points[idx]), out=d2)
+        np.minimum(d2, _sq_dists(points, points[idx]), out=d2)
     return points[chosen].copy()
 
 
@@ -86,35 +89,49 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     drops below tol; the per-iteration objective never increases.  An emptied
     cluster is reseeded to the point farthest from its previous center (drawn
     from clusters that can spare a member), so returned assignments always
-    cover all k ids.  Rows are made contiguous once at entry, as in
-    kmeans_pp_init.
+    cover all k ids.
+
+    Points are used in column-major order: a factor's P is read in place,
+    other layouts are copied once, so results do not depend on the layout
+    (BLAS sums in a layout-dependent order).  An iteration is two n s k
+    matrix products: the assignment argmin_j ||c_j||^2 - 2 c_j.p (the row
+    norms do not change it) and the center sums as a k x n one-hot matrix
+    times the points.  The tol test uses the objective in the expanded form
+    (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n about the mean m of the
+    points, so its rounding error scales with their spread, not with their
+    distance from the origin.  The returned objective is the direct mean
+    squared distance, so an exact fit gives exactly 0.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = np.asfortranarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     centers = kmeans_pp_init(points, k, seed)
+    mean = points.mean(axis=0)
+    spread = float(_sq_dists(points, mean).sum())
     assign = None
     prev_obj = np.inf
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        new_assign = np.argmin(_pairwise_sq_dists(points, centers), axis=1)
-        new_assign = _repair_empty(points, centers, new_assign, k)
+        scores = (-2.0 * centers) @ points.T
+        scores += np.einsum("ij,ij->i", centers, centers)[:, None]
+        new_assign = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
         if assign is not None and np.array_equal(new_assign, assign):
             converged = True
             break
         assign = new_assign
-        centers = _means(points, assign, k)
+        counts = np.bincount(assign, minlength=k)
+        centers = (_one_hot(assign, k) @ points) / counts[:, None]
         iterations += 1
-        obj = _mean_sq_dist(points, centers, assign)
+        obj = max(spread - float(counts @ _sq_dists(centers, mean)), 0.0) / n
         if np.isfinite(prev_obj) and prev_obj - obj <= tol * prev_obj:
             converged = True
             break
         prev_obj = obj
-    objective = _mean_sq_dist(points, centers, assign)
+    objective = float(_sq_dists(points, centers, assign).sum()) / n
     return ClusterModel(assign, centers, objective, iterations, converged)
 
 
@@ -155,33 +172,30 @@ def psd_embedding(K: np.ndarray) -> np.ndarray:
     return U * np.sqrt(w)
 
 
-def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = points - center
-    return np.einsum("ij,ij->i", diff, diff)
+def _one_hot(assign: np.ndarray, k: int) -> np.ndarray:
+    """k x n float indicator: row j is 1 where assign == j.  Multiplying a
+    matrix by it sums the matrix's rows per cluster."""
+    return (np.arange(k)[:, None] == assign).astype(np.float64)
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """n x k squared distances via the expanded form, clamped at zero."""
-    sq = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        - 2.0 * points @ centers.T
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance of each row to one center, or of row i to centers[assign[i]].
 
-
-def _means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    centers = np.zeros((k, points.shape[1]))
-    np.add.at(centers, assign, points)
-    counts = np.bincount(assign, minlength=k)
-    return centers / counts[:, None]
-
-
-def _mean_sq_dist(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    # one n x s temporary: the gathered centers are overwritten by the difference
-    diff = np.take(centers, assign, axis=0)
-    np.subtract(points, diff, out=diff)
-    return float(np.einsum("ij,ij->", diff, diff) / points.shape[0])
+    Differences are formed in s x b blocks of _BLOCK_SIZE entries and summed
+    over s in column order: no n x s temporary, a column-major P is read as
+    it lies, and the result has the same bits for any memory layout.
+    """
+    n, s = points.shape
+    rows = max(1, _BLOCK_SIZE // max(s, 1))
+    out = np.empty(n)
+    buf = np.empty((s, min(n, rows)))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        diff = buf[:, : hi - lo]
+        ref = centers[:, None] if assign is None else np.take(centers.T, assign[lo:hi], axis=1, out=diff)
+        np.subtract(points[lo:hi].T, ref, out=diff)
+        np.einsum("ij,ij->j", diff, diff, out=out[lo:hi])
+    return out
 
 
 def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
@@ -196,7 +210,7 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray, k
     assign = assign.copy()
     for j in np.flatnonzero(counts == 0):
         donors = np.flatnonzero(counts[assign] >= 2)
-        far = donors[int(np.argmax(_sq_dists_to(points[donors], centers[j])))]
+        far = donors[int(np.argmax(_sq_dists(points, centers[j])[donors]))]
         counts[assign[far]] -= 1
         assign[far] = j
         counts[j] = 1

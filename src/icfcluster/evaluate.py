@@ -49,8 +49,7 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     size = max(pi.max(), ti.max()) + 1
-    table = np.zeros((size, size), dtype=np.int64)
-    np.add.at(table, (pi, ti), 1)
+    table = np.bincount(pi * size + ti, minlength=size * size).reshape(size, size)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum()) / pred.size
 

@@ -1,6 +1,7 @@
 """Tests for k-means++/Lloyd and the factored kernel k-means entry points."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ class TestLloyd:
             best = min(best, total / 6.0)
         assert model.objective == pytest.approx(best, rel=1e-10)
 
+    def test_translation_far_from_the_origin_changes_nothing(self):
+        # the tol test's objective is taken about the mean of the points;
+        # about the origin its rounding error would grow with the offset
+        pts = rand_points(2, 2000, 2)
+        base = lloyd(pts, 6, seed=0)
+        moved = lloyd(pts + 1e5, 6, seed=0)
+        assert base.iterations > 2
+        assert np.array_equal(moved.assignments, base.assignments)
+        assert moved.iterations == base.iterations
+        assert moved.objective == pytest.approx(base.objective, rel=1e-6)
+
     def test_objective_consistent_with_returned_state(self):
         pts = rand_points(5, 60, 4)
         model = lloyd(pts, 5, seed=2)
@@ -146,6 +158,87 @@ class TestLloyd:
         assert model.converged
         with pytest.raises(ValueError):
             model.assignments[0] = 1
+
+
+def _property_cases():
+    """(points, k) pairs: seeded random inputs of mixed scale, then the edge
+    cases n = 1, k = n, duplicate points (k at and beyond the number of
+    distinct points), all points identical, and k = 1."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(12):
+        n = int(rng.integers(2, 60))
+        d = int(rng.integers(1, 6))
+        cases.append((rng.uniform(0.1, 10.0) * rng.normal(size=(n, d)), int(rng.integers(1, n + 1))))
+    cases.append((rng.normal(size=(1, 3)), 1))
+    cases.append((rng.normal(size=(9, 2)), 9))
+    duplicates = np.repeat(rng.normal(size=(5, 3)), 4, axis=0)
+    cases.append((duplicates, 5))
+    cases.append((duplicates, 8))
+    cases.append((np.zeros((6, 2)), 3))
+    cases.append((rng.normal(size=(40, 4)), 1))
+    return cases
+
+
+PROPERTY_CASES = _property_cases()
+PROPERTY_SEEDS = range(3)
+
+
+@pytest.mark.parametrize("case", range(len(PROPERTY_CASES)))
+class TestLloydProperties:
+    def test_objective_never_increases_with_max_iter(self, case):
+        pts, k = PROPERTY_CASES[case]
+        # rounding floor: squared distances carry errors of order eps ||p||^2,
+        # so a true zero can come back as 1e-34 after points trade places
+        # between coincident centers (duplicates with k above the distinct count)
+        slack = 1e-12 * float(np.mean(np.sum(pts ** 2, axis=1)))
+        for seed in PROPERTY_SEEDS:
+            full = lloyd(pts, k, seed)
+            objectives = [lloyd(pts, k, seed, max_iter=t).objective for t in range(1, full.iterations + 2)]
+            assert objectives[-1] == full.objective
+            for before, after in zip(objectives, objectives[1:]):
+                assert after <= before + slack
+
+    def test_every_cluster_id_is_used(self, case):
+        pts, k = PROPERTY_CASES[case]
+        for seed in PROPERTY_SEEDS:
+            for max_iter in (1, 2, 1000):
+                model = lloyd(pts, k, seed, max_iter=max_iter)
+                assert np.array_equal(np.unique(model.assignments), np.arange(k))
+
+    def test_centers_are_the_means_of_their_members(self, case):
+        pts, k = PROPERTY_CASES[case]
+        scale = max(1.0, float(np.abs(pts).max()))
+        for seed in PROPERTY_SEEDS:
+            for max_iter in (1, 1000):
+                model = lloyd(pts, k, seed, max_iter=max_iter)
+                for j in range(k):
+                    members = pts[model.assignments == j]
+                    np.testing.assert_allclose(model.centers[j], members.mean(axis=0), rtol=1e-12, atol=1e-14 * scale)
+
+    def test_memory_layout_does_not_change_the_result(self, case):
+        pts, k = PROPERTY_CASES[case]
+        c_order, f_order = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        for seed in PROPERTY_SEEDS:
+            assert np.array_equal(kmeans_pp_init(c_order, k, seed), kmeans_pp_init(f_order, k, seed))
+            a, b = lloyd(c_order, k, seed), lloyd(f_order, k, seed)
+            assert np.array_equal(a.assignments, b.assignments)
+            assert np.array_equal(a.centers, b.centers)
+            assert a.objective == b.objective
+            assert a.iterations == b.iterations
+
+
+def test_lloyd_reads_a_column_major_factor_in_place():
+    # a factor's P is column-major; Lloyd on it must allocate less than one
+    # more n x s array (a layout copy of P alone would be P.nbytes)
+    P = np.asfortranarray(rand_points(9, 10_000, 100))
+    tracemalloc.start()
+    try:
+        lloyd(P, 10, seed=0, max_iter=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P.nbytes
 
 
 class TestFactoredKernelKmeans:
