@@ -64,7 +64,7 @@ def cmd_cluster(args) -> int:
     model = lloyd(factor.P, args.clusters, args.seed, max_iter=args.max_iter)
     t2 = time.perf_counter()
     if args.out:
-        _write_atomic(args.out, "\n".join(str(int(a)) for a in model.assignments) + "\n")
+        _write_atomic(args.out, "\n".join(map(str, model.assignments.tolist())) + "\n")
     print(f"n={dataset.n} s={factor.s} k={args.clusters} seed={args.seed}")
     print(f"objective={model.objective!r} iterations={model.iterations} converged={model.converged}")
     if dataset.labels is not None:

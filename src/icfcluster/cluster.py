@@ -94,13 +94,14 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     Points are used in column-major order: a factor's P is read in place,
     other layouts are copied once, so results do not depend on the layout
     (BLAS sums in a layout-dependent order).  An iteration is two n s k
-    matrix products: the assignment argmin_j ||c_j||^2 - 2 c_j.p (the row
-    norms do not change it) and the center sums as a k x n one-hot matrix
-    times the points.  The tol test uses the objective in the expanded form
-    (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n about the mean m of the
-    points, so its rounding error scales with their spread, not with their
-    distance from the origin.  The returned objective is the direct mean
-    squared distance, so an exact fit gives exactly 0.
+    matrix products: the assignment and the center sums as a k x n one-hot
+    matrix times the points.  Both the assignment and the tol test work about
+    the mean m of the points, so their rounding error scales with the points'
+    spread, not with their distance from the origin: a point goes to
+    argmin_j ||c_j - m||^2 - 2 (c_j - m).p + 2 (c_j - m).m, which is
+    ||p - c_j||^2 - ||p - m||^2, and the tol test uses the objective
+    (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n.  The returned objective
+    is the direct mean squared distance, so an exact fit gives exactly 0.
     """
     points = np.asfortranarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -116,8 +117,9 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        scores = (-2.0 * centers) @ points.T
-        scores += np.einsum("ij,ij->i", centers, centers)[:, None]
+        offsets = centers - mean
+        scores = (-2.0 * offsets) @ points.T
+        scores += (np.einsum("ij,ij->i", offsets, offsets) + 2.0 * (offsets @ mean))[:, None]
         new_assign = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
         if assign is not None and np.array_equal(new_assign, assign):
             converged = True

@@ -125,15 +125,14 @@ def to_libsvm(dataset: Dataset) -> str:
     """Serialize a Dataset to LIBSVM text (dense: every index written).
 
     Values use repr, which round-trips float64 exactly, so
-    parse_libsvm(to_libsvm(ds)) reproduces the points bit for bit.
+    parse_libsvm(to_libsvm(ds)) reproduces the points bit for bit.  Each row
+    is formatted by one precomputed template, one row at a time.
     """
     if dataset.labels is None:
         raise ValueError("serialization requires labels")
-    lines = []
-    for label, row in zip(dataset.labels, dataset.points):
-        feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
-        lines.append(f"{int(label)} {feats}" if feats else str(int(label)))
-    return "\n".join(lines) + "\n"
+    template = "%d " + " ".join(f"{j}:%r" for j in range(1, dataset.d + 1)) + "\n"
+    return "".join(template % (label, *row.tolist())
+                   for label, row in zip(dataset.labels.tolist(), dataset.points))
 
 
 def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Dataset:

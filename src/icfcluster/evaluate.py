@@ -1,7 +1,8 @@
 """Scoring, diagnostics, and the benchmark harness.
 
 accuracy matches predicted to true labels with an optimal one-to-one
-assignment, so it is invariant to label permutations.  trace_objective scores
+assignment, so it is invariant to label permutations; the assignment is solved
+exactly in-package by the Hungarian method, without scipy.  trace_objective scores
 a partition as (1/n) tr(V^T K V) with V the normalized indicator matrix; on a
 factor P it is computed as ||V^T P||_F^2 / n without forming P P^T.
 bound_gap compares the objective degradation caused by factoring against its
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baselines import (_approx_blocks, _approx_solve, chol_embedding,
                         nystrom_embedding, rff_embedding)
@@ -50,8 +50,57 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     _, ti = np.unique(truth, return_inverse=True)
     size = max(pi.max(), ti.max()) + 1
     table = np.bincount(pi * size + ti, minlength=size * size).reshape(size, size)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum()) / pred.size
+    cols = _max_weight_matching(table)
+    return float(table[np.arange(size), cols].sum()) / pred.size
+
+
+def _max_weight_matching(table: np.ndarray) -> np.ndarray:
+    """Column matched to each row in a maximum-weight perfect matching of a
+    square integer table.
+
+    The Hungarian method (Kuhn 1955; Munkres 1957) as shortest augmenting
+    paths with row and column potentials, O(k^3), on the cost -table: each
+    row is added by growing a Dijkstra tree over the columns until it reaches
+    a free one, then flipping the path.  Column 0 of the potentials is a
+    sentinel standing for the row being added.  Integer costs keep every
+    potential exact, and every optimal matching has the same total, so the
+    score does not depend on which optimum is found.
+    """
+    k = table.shape[0]
+    cost = np.zeros((k + 1, k + 1), dtype=np.int64)
+    cost[1:, 1:] = -table
+    u = np.zeros(k + 1, dtype=np.int64)
+    v = np.zeros(k + 1, dtype=np.int64)
+    row_of = np.zeros(k + 1, dtype=np.int64)  # row (1-based) matched to column j; 0 is free
+    way = np.zeros(k + 1, dtype=np.int64)
+    big = np.iinfo(np.int64).max
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(k + 1, big, dtype=np.int64)
+        used = np.zeros(k + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_of[j0]
+            cur = cost[i0] - u[i0] - v
+            better = ~used & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            j1 = int(np.argmin(np.where(used, big, minv)))
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if row_of[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.empty(k, dtype=np.int64)
+    cols[row_of[1:] - 1] = np.arange(k)
+    return cols
 
 
 def trace_objective(gram_or_factor, assignments: np.ndarray, k: int) -> float:

@@ -192,13 +192,19 @@ def residual_trace(factor: IcfFactor) -> float:
 
 
 def dump_factor(factor: IcfFactor) -> str:
-    """Serialize a factor to text: header, pivots, P rows, trace history."""
-    lines = [f"ICF {factor.n} {factor.s}"]
-    lines.append(" ".join(str(int(t)) for t in factor.pivots))
-    for row in factor.P:
-        lines.append(" ".join(f"{v:.17e}" for v in row))
-    lines.append(" ".join(f"{v:.17e}" for v in factor.trace_history))
-    return "\n".join(lines) + "\n"
+    """Serialize a factor to text: header, pivots, P rows, trace history.
+
+    Values are written as %.17e, which round-trips float64 exactly; each row
+    of P is formatted by one template, one row at a time.
+    """
+    row = " ".join(["%.17e"] * factor.s) + "\n"
+    history = " ".join(["%.17e"] * (factor.s + 1)) + "\n"
+    return "".join([
+        f"ICF {factor.n} {factor.s}\n",
+        " ".join(map(str, factor.pivots.tolist())) + "\n",
+        *(row % tuple(p.tolist()) for p in factor.P),
+        history % tuple(factor.trace_history.tolist()),
+    ])
 
 
 def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,9 +219,18 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"malformed header {lines[0]!r}") from None
     if len(lines) < n + 3:
         raise ValueError(f"truncated dump: expected {n + 3} lines, got {len(lines)}")
+    if 2 * n * s > len(text):
+        # each value takes at least one character and a separator; checked
+        # before P is allocated, so a corrupt header cannot request more
+        # memory than a few times the text's size
+        raise ValueError(f"truncated dump: {len(text)} characters cannot hold {n} x {s} values")
     pivots = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
-    P = np.array([[float(v) for v in lines[2 + i].split()] for i in range(n)])
-    P = P.reshape(n, s)
+    P = np.empty((n, s))
+    for i in range(n):
+        row = list(map(float, lines[2 + i].split()))
+        if len(row) != s:
+            raise ValueError(f"row {i} of P has {len(row)} values, expected {s}")
+        P[i] = row
     history = np.array([float(v) for v in lines[2 + n].split()])
     if pivots.shape != (s,) or history.shape != (s + 1,):
         raise ValueError("dump sections do not match header sizes")

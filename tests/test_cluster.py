@@ -113,6 +113,19 @@ class TestLloyd:
         assert moved.iterations == base.iterations
         assert moved.objective == pytest.approx(base.objective, rel=1e-6)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assignments_far_from_the_origin_match_the_unshifted_ones(self, seed):
+        # the assignment scores are taken about the mean of the points; taken
+        # about the origin they round like eps ||p||^2, which at an offset of
+        # 1e8 swamps the distances between unit-spread clusters
+        rng = np.random.default_rng(seed)
+        means = rng.normal(scale=3.0, size=(8, 5))
+        pts = means[rng.integers(0, 8, 2000)] + rng.normal(size=(2000, 5))
+        base = lloyd(pts, 8, seed=seed)
+        moved = lloyd(pts + 1e8, 8, seed=seed)
+        assert np.array_equal(moved.assignments, base.assignments)
+        assert moved.iterations == base.iterations
+
     def test_objective_consistent_with_returned_state(self):
         pts = rand_points(5, 60, 4)
         model = lloyd(pts, 5, seed=2)

@@ -9,6 +9,15 @@ import pytest
 from icfcluster import Dataset, ParseError, gen_synthetic, parse_libsvm, standardize, to_libsvm
 
 
+# signed zeros, the smallest subnormal, extremes and integral floats
+AWKWARD = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1.0, -42.0, 2.0 ** 53])
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """Bit patterns, so that -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestDataset:
     def test_basic_fields(self):
         ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), name="toy")
@@ -154,6 +163,26 @@ class TestToLibsvm:
     def test_requires_labels(self):
         with pytest.raises(ValueError):
             to_libsvm(Dataset(np.ones((2, 2))))
+
+    def test_round_trip_is_bit_exact_on_edge_shapes_and_values(self):
+        rng = np.random.default_rng(17)
+        for n, d in [(1, 1), (1, 6), (9, 1), (14, 5)]:
+            for _ in range(6):
+                pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-320, 300, size=(n, d))
+                special = rng.random((n, d)) < 0.5
+                pts[special] = rng.choice(AWKWARD, size=int(special.sum()))
+                ds = Dataset(pts, rng.integers(0, 1000, n))
+                again = parse_libsvm(to_libsvm(ds))
+                assert np.array_equal(bits(again.points), bits(ds.points))
+                assert np.array_equal(again.labels, ds.labels)
+
+    def test_text_is_pinned(self):
+        # a formatter that still round-trips but writes other bytes fails here
+        ds = Dataset(np.array([[1.0, -0.0, 0.1], [5e-324, 1e308, -2.5], [3.0, 1e-300, 2.0 ** 53]]),
+                     np.array([3, 0, 12]))
+        assert to_libsvm(ds) == ("3 1:1.0 2:-0.0 3:0.1\n"
+                                 "0 1:5e-324 2:1e+308 3:-2.5\n"
+                                 "12 1:3.0 2:1e-300 3:9007199254740992.0\n")
 
 
 class TestGenSynthetic:

@@ -1,6 +1,8 @@
 """Tests for scoring, diagnostics, and the benchmark harness."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,57 @@ class TestAccuracy:
             accuracy(np.array([0, 1]), np.array([0, 1, 1]))
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
+
+
+def brute_force_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Best matched fraction over every one-to-one relabeling of the ids."""
+    pred_ids, truth_ids = np.unique(pred), np.unique(truth)
+    size = max(pred_ids.size, truth_ids.size)
+    table = np.zeros((size, size), dtype=np.int64)
+    for a, p in enumerate(pred_ids):
+        for b, t in enumerate(truth_ids):
+            table[a, b] = np.sum((pred == p) & (truth == t))
+    perms = np.array(list(itertools.permutations(range(size))))
+    return int(table[np.arange(size), perms].sum(axis=1).max()) / pred.size
+
+
+class TestAccuracyMatchesBruteForce:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_random_labelings(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(12):
+            n = int(rng.integers(1, 80))
+            # sparse ids, so labels between the used ones are absent
+            truth_ids = rng.choice(40, size=k, replace=False)
+            pred_ids = rng.choice(40, size=int(rng.integers(1, k + 1)), replace=False)
+            classes = rng.integers(0, k, n)
+            truth = truth_ids[classes]
+            # a noisy relabeling of the truth, so the best matching is far from random
+            agree = rng.random(n) < rng.random()
+            pred = pred_ids[np.where(agree, classes % pred_ids.size, rng.integers(0, pred_ids.size, n))]
+            assert accuracy(pred, truth) == brute_force_accuracy(pred, truth)
+            assert accuracy(truth, pred) == brute_force_accuracy(truth, pred)
+
+    def test_large_relabeling_scores_one(self):
+        rng = np.random.default_rng(7)
+        truth = rng.integers(0, 60, 3000)
+        assert accuracy(rng.permutation(60)[truth], truth) == 1.0
+
+
+def test_cli_starts_and_scores_without_scipy():
+    # accuracy solves its matching in-package; scipy's import would
+    # dominate the command line's start-up time
+    code = (
+        "import sys\n"
+        "import icfcluster.cli\n"
+        "assert icfcluster.cli.main(['cluster', 'synth:ring:20:0.05:0', '--sigma', '16',\n"
+        "                            '--subset-size', '5', '--clusters', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "accuracy=" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestTraceObjective:

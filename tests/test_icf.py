@@ -306,6 +306,49 @@ class TestDumpAndParse:
         assert P.shape == (5, 0)
         assert history.tolist() == [5.0]
 
+    def test_round_trip_is_bit_exact_on_edge_shapes_and_values(self):
+        rng = np.random.default_rng(19)
+        awkward = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1.0, -42.0, 2.0 ** 53])
+        for n, s in [(1, 0), (1, 1), (6, 0), (6, 1), (12, 5)]:
+            for _ in range(6):
+                P = rng.normal(size=(n, s)) * 10.0 ** rng.integers(-320, 300, size=(n, s))
+                special = rng.random((n, s)) < 0.5
+                P[special] = rng.choice(awkward, size=int(special.sum()))
+                history = rng.choice(awkward, size=s + 1)
+                f = IcfFactor(P, rng.permutation(n)[:s], np.zeros(n), history, n * (s + 1))
+                pivots, P_back, history_back = parse_factor_dump(dump_factor(f))
+                assert np.array_equal(pivots, f.pivots)
+                assert P_back.shape == (n, s)
+                assert np.array_equal(P_back.view(np.int64), f.P.view(np.int64))
+                assert np.array_equal(history_back.view(np.int64), f.trace_history.view(np.int64))
+
+    def test_text_is_pinned(self):
+        # a formatter that still round-trips but writes other bytes fails here
+        P = np.array([[1.0, -0.0], [0.1, 5e-324], [-3.0, 1e308]])
+        f = IcfFactor(P, np.array([2, 0]), np.zeros(3), np.array([2.0, 1e-300, 0.0]), 9)
+        assert dump_factor(f) == (
+            "ICF 3 2\n"
+            "2 0\n"
+            "1.00000000000000000e+00 -0.00000000000000000e+00\n"
+            "1.00000000000000006e-01 4.94065645841246544e-324\n"
+            "-3.00000000000000000e+00 1.00000000000000001e+308\n"
+            "2.00000000000000000e+00 1.00000000000000003e-300 0.00000000000000000e+00\n")
+        empty = IcfFactor(np.zeros((2, 0)), np.zeros(0, dtype=np.int64), np.ones(2), np.array([2.0]), 2)
+        assert dump_factor(empty) == "ICF 2 0\n\n\n\n2.00000000000000000e+00\n"
+
+    def test_parse_rejects_a_short_row(self):
+        ds = rand_dataset(2, 6, 2)
+        f = icf_factorize(ds, GAUSS, max_rank=2, epsilon=1e-300)
+        lines = dump_factor(f).splitlines()
+        lines[3] = lines[3].split()[0]
+        with pytest.raises(ValueError):
+            parse_factor_dump("\n".join(lines))
+
+    def test_parse_rejects_a_header_larger_than_its_text(self):
+        # the header must not make the parser allocate a huge P for a short text
+        with pytest.raises(ValueError, match="cannot hold"):
+            parse_factor_dump("ICF 3 1000000000000\n0\n\n\n\n1\n")
+
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ValueError):
             parse_factor_dump("")
