@@ -7,8 +7,8 @@ Four alternatives spanning the exact-to-approximate range:
 * nystrom_kmeans: uniform column sampling, embedding K_MB K_BB^{-1/2}.
 * rff_kmeans: random Fourier features for the Gaussian kernel, paired
   cosine/sine so every embedded point has unit norm.
-* approx_kkmeans: Lloyd-style iteration with centers restricted to the span
-  of a sampled subset, solved through K_MB and K_BB only.
+* approx_kkmeans: centers restricted to the span of a sampled subset, solved
+  as Lloyd on the Nystrom embedding of the same sample.
 
 Sampled index sets are drawn without replacement and kept sorted, so at
 subset_size = n every sampling-based method sees the points in their original
@@ -17,9 +17,11 @@ order and reproduces the exact oracle given the same seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .cluster import EIG_CLAMP, ClusterModel, _one_hot, lloyd
+from .cluster import EIG_CLAMP, ClusterModel, lloyd
 from .data import Dataset
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_column, kernel_diag
 
@@ -72,14 +74,8 @@ def nystrom_embedding(dataset: Dataset, spec: KernelSpec, subset_size: int, seed
     eigenvalues clamped away, so a singular sampled block just yields an
     embedding of lower rank r <= subset_size.
     """
-    B = _sample_indices(dataset.n, subset_size, seed)
-    K_MB = np.column_stack([kernel_column(spec, dataset, int(t)) for t in B])
-    K_BB = K_MB[B]
-    w, U = np.linalg.eigh(K_BB)
-    keep = w > EIG_CLAMP * max(float(w[-1]), 0.0)
-    if not np.any(keep):
-        raise ValueError("sampled kernel block is numerically zero")
-    return K_MB @ (U[:, keep] / np.sqrt(w[keep]))
+    K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
+    return K_MB @ W
 
 
 def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: int) -> np.ndarray:
@@ -107,106 +103,41 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
 
     Returns a ClusterModel whose centers are the k x subset_size combination
     weights over the sampled points; the objective is the mean squared
-    feature-space distance to those restricted centers.
+    feature-space distance to those restricted centers.  The assignments are
+    nystrom_kmeans's for the same arguments.
     """
-    if k > subset_size:
-        raise ValueError(f"k={k} exceeds subset_size={subset_size}")
-    B, K_MB, K_BB = _approx_blocks(dataset, spec, subset_size, seed)
-    return _approx_solve(dataset, spec, K_MB, K_BB, k, seed, max_iter, tol)
+    if not 1 <= k <= subset_size:
+        raise ValueError(f"k must be in [1, subset_size={subset_size}], got {k}")
+    K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
+    return _approx_solve(dataset, spec, K_MB, W, k, seed, max_iter, tol)
 
 
 def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int):
-    B = _sample_indices(dataset.n, subset_size, seed)
+    """Gram columns K_MB of a sorted uniform sample and W = U_r D_r^{-1/2}.
+
+    U D U^T is K_BB with eigenvalues up to EIG_CLAMP times the largest dropped,
+    so W W^T is its pseudo-inverse and K_MB W the Nystrom embedding.
+    """
+    if not 1 <= subset_size <= dataset.n:
+        raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
+    B = np.sort(np.random.default_rng(seed).choice(dataset.n, size=subset_size, replace=False))
     K_MB = np.column_stack([kernel_column(spec, dataset, int(t)) for t in B])
-    return B, K_MB, K_MB[B]
-
-
-def _approx_solve(dataset: Dataset, spec: KernelSpec, K_MB: np.ndarray, K_BB: np.ndarray,
-                  k: int, seed: int, max_iter: int, tol: float) -> ClusterModel:
-    diag = kernel_diag(spec, dataset)
-    pinv = _psd_pinv(K_BB)
-    alphas = _init_restricted(diag, K_MB, K_BB, k, seed)
-    assign = None
-    prev_obj = np.inf
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        d2 = _restricted_sq_dists(diag, K_MB, K_BB, alphas)
-        new_assign = np.argmin(d2, axis=1)
-        new_assign = _repair_empty_restricted(d2, new_assign, k)
-        if assign is not None and np.array_equal(new_assign, assign):
-            converged = True
-            break
-        assign = new_assign
-        counts = np.bincount(assign, minlength=k)
-        alphas = ((_one_hot(assign, k) @ K_MB) / counts[:, None]) @ pinv
-        iterations += 1
-        obj = _restricted_objective(diag, K_MB, K_BB, alphas, assign)
-        if np.isfinite(prev_obj) and prev_obj - obj <= tol * prev_obj:
-            converged = True
-            break
-        prev_obj = obj
-    objective = _restricted_objective(diag, K_MB, K_BB, alphas, assign)
-    return ClusterModel(assign, alphas, objective, iterations, converged)
-
-
-def _init_restricted(diag: np.ndarray, K_MB: np.ndarray, K_BB: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """D^2-weighted start over the sampled candidates, as indicator weights."""
-    B_diag = np.diag(K_BB)
-    m = K_BB.shape[0]
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(m))]
-    d2 = np.maximum(B_diag - 2.0 * K_BB[:, chosen[0]] + B_diag[chosen[0]], 0.0)
-    for _ in range(1, k):
-        d2[chosen] = 0.0
-        total = float(d2.sum())
-        if total > 0.0:
-            idx = int(rng.choice(m, p=d2 / total))
-        else:
-            idx = int(rng.choice(np.setdiff1d(np.arange(m), chosen)))
-        chosen.append(idx)
-        np.minimum(d2, np.maximum(B_diag - 2.0 * K_BB[:, idx] + B_diag[idx], 0.0), out=d2)
-    alphas = np.zeros((k, m))
-    alphas[np.arange(k), chosen] = 1.0
-    return alphas
-
-
-def _restricted_sq_dists(diag, K_MB, K_BB, alphas) -> np.ndarray:
-    cross = K_MB @ alphas.T
-    cc = np.einsum("ij,ij->i", alphas @ K_BB, alphas)
-    return np.maximum(diag[:, None] - 2.0 * cross + cc[None, :], 0.0)
-
-
-def _restricted_objective(diag, K_MB, K_BB, alphas, assign) -> float:
-    d2 = _restricted_sq_dists(diag, K_MB, K_BB, alphas)
-    return float(d2[np.arange(len(assign)), assign].mean())
-
-
-def _repair_empty_restricted(d2: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """Same farthest-point repair as Lloyd, using restricted distances."""
-    counts = np.bincount(assign, minlength=k)
-    if np.all(counts > 0):
-        return assign
-    assign = assign.copy()
-    for j in np.flatnonzero(counts == 0):
-        donors = np.flatnonzero(counts[assign] >= 2)
-        far = donors[int(np.argmax(d2[donors, j]))]
-        counts[assign[far]] -= 1
-        assign[far] = j
-        counts[j] = 1
-    return assign
-
-
-def _sample_indices(n: int, subset_size: int, seed: int) -> np.ndarray:
-    if not 1 <= subset_size <= n:
-        raise ValueError(f"subset_size must be in [1, {n}], got {subset_size}")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n, size=subset_size, replace=False))
-
-
-def _psd_pinv(K: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(K)
+    w, U = np.linalg.eigh(K_MB[B])
     keep = w > EIG_CLAMP * max(float(w[-1]), 0.0)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return (U * inv) @ U.T
+    if not np.any(keep):
+        raise ValueError("sampled kernel block is numerically zero")
+    return K_MB, U[:, keep] / np.sqrt(w[keep])
+
+
+def _approx_solve(dataset: Dataset, spec: KernelSpec, K_MB: np.ndarray, W: np.ndarray,
+                  k: int, seed: int, max_iter: int, tol: float) -> ClusterModel:
+    """Lloyd on the Nystrom rows Z = K_MB W, returned as restricted centers.
+
+    A center in the sample's span is the projection of its cluster's mean, so
+    ||phi(x_i) - c_j||^2 = (K_ii - ||z_i||^2) + ||z_i - zhat_j||^2: the first
+    term moves no assignment and is added to the objective; zhat W^T are the weights.
+    """
+    Z = K_MB @ W
+    model = lloyd(Z, k, seed, max_iter=max_iter, tol=tol)
+    residual = np.maximum(kernel_diag(spec, dataset) - np.einsum("ij,ij->i", Z, Z), 0.0)
+    return replace(model, centers=model.centers @ W.T, objective=model.objective + float(residual.mean()))

@@ -31,6 +31,16 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
 ALGORITHMS = ("icf", "kernel", "chol", "nystrom", "rff", "approx")
 
+# (dataset, spec, subset_size, seed, config) -> the rows Lloyd clusters, for
+# all but approx; rff's feature count is the subset size rounded up to even
+_EMBEDDINGS = {
+    "icf": lambda ds, spec, size, seed, cfg: icf_factorize(ds, spec, max_rank=size, epsilon=cfg.epsilon).P,
+    "kernel": lambda ds, spec, size, seed, cfg: oracle_embedding(ds, spec, guard=cfg.guard),
+    "chol": lambda ds, spec, size, seed, cfg: chol_embedding(ds, spec, guard=cfg.guard),
+    "nystrom": lambda ds, spec, size, seed, cfg: nystrom_embedding(ds, spec, size, seed),
+    "rff": lambda ds, spec, size, seed, cfg: rff_embedding(ds, spec, size + size % 2, seed),
+}
+
 # these need the full n x n Gram matrix and are skipped beyond the guard
 _FULL_MATRIX = frozenset({"kernel", "chol"})
 
@@ -113,7 +123,10 @@ def trace_objective(gram_or_factor, assignments: np.ndarray, k: int) -> float:
     assignments = np.asarray(assignments)
     V = _indicator(assignments, k)
     if isinstance(gram_or_factor, IcfFactor):
-        M = V.T @ gram_or_factor.P
+        P = gram_or_factor.P
+        if P.shape[0] != assignments.size:
+            raise ValueError(f"factor shape {P.shape} does not match n={assignments.size}")
+        M = V.T @ P
         return float(np.einsum("ij,ij->", M, M)) / assignments.size
     K = np.asarray(gram_or_factor, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] != assignments.size:
@@ -261,38 +274,16 @@ def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, algorithm: 
               subset_size: int, k: int, config: BenchmarkConfig) -> None:
     seed = row.seed
     t0 = time.perf_counter()
-    if algorithm == "icf":
-        factor = icf_factorize(dataset, spec, max_rank=subset_size, epsilon=config.epsilon)
-        rank = factor.s
-        t1 = time.perf_counter()
-        model = lloyd(factor.P, k, seed, max_iter=config.max_iter)
-    elif algorithm == "kernel":
-        embed = oracle_embedding(dataset, spec, guard=config.guard)
-        rank = embed.shape[1]
-        t1 = time.perf_counter()
-        model = lloyd(embed, k, seed, max_iter=config.max_iter)
-    elif algorithm == "chol":
-        embed = chol_embedding(dataset, spec, guard=config.guard)
-        rank = embed.shape[1]
-        t1 = time.perf_counter()
-        model = lloyd(embed, k, seed, max_iter=config.max_iter)
-    elif algorithm == "nystrom":
-        embed = nystrom_embedding(dataset, spec, subset_size, seed)
-        rank = embed.shape[1]
-        t1 = time.perf_counter()
-        model = lloyd(embed, k, seed, max_iter=config.max_iter)
-    elif algorithm == "rff":
-        # the feature count plays the role of the subset size; it must be even
-        num_features = subset_size + subset_size % 2
-        embed = rff_embedding(dataset, spec, num_features, seed)
-        rank = num_features
-        t1 = time.perf_counter()
-        model = lloyd(embed, k, seed, max_iter=config.max_iter)
-    else:
-        _, K_MB, K_BB = _approx_blocks(dataset, spec, subset_size, seed)
+    if algorithm == "approx":
+        K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
         rank = subset_size
         t1 = time.perf_counter()
-        model = _approx_solve(dataset, spec, K_MB, K_BB, k, seed, config.max_iter, 1e-6)
+        model = _approx_solve(dataset, spec, K_MB, W, k, seed, config.max_iter, 1e-6)
+    else:
+        embed = _EMBEDDINGS[algorithm](dataset, spec, subset_size, seed, config)
+        rank = embed.shape[1]
+        t1 = time.perf_counter()
+        model = lloyd(embed, k, seed, max_iter=config.max_iter)
     t2 = time.perf_counter()
     row.objective = model.objective
     row.achieved_rank = rank

@@ -128,7 +128,6 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     diag = kernel_diag(spec, dataset).astype(np.float64, copy=True)
     e = diag.copy()
-    evals = n
     sq_norms = point_sq_norms(dataset)
     # the factor is built transposed (columns as contiguous rows) so the
     # per-step matvec and downdate stream memory instead of striding; this
@@ -138,43 +137,32 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
     history = [float(np.sum(e))]
     s = 0
     while s < max_rank and history[-1] > epsilon:
-        t = _pick_pivot(e)
-        if t < 0:
+        if _step(PT, pivots, e, s, diag, dataset, spec, sq_norms) is not None:
             break
-        # check rank exhaustion from the diagonal alone, before spending a
-        # column of kernel evaluations on a pivot that cannot be appended
-        nu_sq = float(diag[t] - PT[:s, t] @ PT[:s, t])
-        if not nu_sq > RANK_TOL * diag[t]:
-            break
-        col = kernel_column(spec, dataset, t, sq_norms)
-        evals += n
-        _append_column(PT, pivots, e, s, t, col, float(np.sqrt(nu_sq)))
         history.append(float(np.sum(e)))
         s += 1
-    return IcfFactor._adopt(PT[:s].T, pivots[:s], e, np.array(history), evals)
+    return IcfFactor._adopt(PT[:s].T, pivots[:s], e, np.array(history), n * (s + 1))
 
 
 def icf_step(factor: IcfFactor, dataset: Dataset, spec: KernelSpec) -> IcfFactor:
-    """Extend a factor by one pivot column, returning a new factor."""
+    """Extend a factor by one pivot column, returning a new factor.
+
+    Raises ValueError when no positive residual is left and BreakdownError
+    when the best pivot is rank-exhausted.
+    """
     n, s = factor.n, factor.s
     if dataset.n != n:
         raise ValueError("dataset does not match factor size")
     if s >= n:
         raise ValueError("factor already has n columns")
     e = factor.residual_diag.copy()
-    t = _pick_pivot(e)
-    if t < 0:
-        raise ValueError("no unselected index with positive residual remains")
     PT = np.empty((s + 1, n))
     PT[:s] = factor.P.T
     pivots = np.empty(s + 1, dtype=np.int64)
     pivots[:s] = factor.pivots
-    diag_t = float(kernel_diag(spec, dataset)[t])
-    nu_sq = diag_t - float(PT[:s, t] @ PT[:s, t])
-    if not nu_sq > RANK_TOL * diag_t:
-        raise BreakdownError(s, nu_sq)
-    col = kernel_column(spec, dataset, t, point_sq_norms(dataset))
-    _append_column(PT, pivots, e, s, t, col, float(np.sqrt(nu_sq)))
+    refused = _step(PT, pivots, e, s, kernel_diag(spec, dataset), dataset, spec, point_sq_norms(dataset))
+    if refused is not None:
+        raise refused
     history = np.append(factor.trace_history, float(np.sum(e)))
     return IcfFactor._adopt(PT.T, pivots, e, history, factor.kernel_evals + n)
 
@@ -237,33 +225,31 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pivots, P, history
 
 
-def _pick_pivot(e: np.ndarray) -> int:
-    """Largest residual entry; ties go to the smallest index.
-
-    Relies on selected entries being pinned to exactly 0 (and the rest kept
-    non-negative) by _append_column, so a positive argmax is always unselected.
-    Returns -1 when no positive entry remains.
-    """
-    t = int(np.argmax(e))
-    if not e[t] > 0.0:
-        return -1
-    return t
-
-
-def _append_column(
-    PT: np.ndarray, pivots: np.ndarray, e: np.ndarray, s: int, t: int, col: np.ndarray, nu: float
-) -> None:
-    """Take step s at pivot t: fill PT[s], record t, downdate e.
+def _step(PT: np.ndarray, pivots: np.ndarray, e: np.ndarray, s: int, diag: np.ndarray,
+          dataset: Dataset, spec: KernelSpec, sq_norms: np.ndarray) -> Exception | None:
+    """Take step s at the largest residual entry t: fill PT[s], record t, downdate e.
 
     PT holds the factor transposed, one column per contiguous row, and
-    pivots[:s] the pivots chosen so far; nu is the caller-verified positive
-    pivot root (K[t, t] - u.u)^(1/2).  The row is computed in place as
-    (col - u P) / nu without temporaries; col, Gram column t, is then reused
-    as scratch for the squared row.  Residual entries that round into
-    [-NEGATIVE_TOL, 0) are clamped to zero; anything lower means the update
-    lost positive semidefiniteness.
+    pivots[:s] the pivots chosen so far.  A refused step changes nothing and
+    returns the unraised error that says why: ValueError when no positive
+    residual is left, BreakdownError(s, nu^2) at rank exhaustion, checked
+    from the diagonal before a kernel column is spent.  The row is computed
+    in place as (col - u P) / nu without temporaries; col, Gram column t, is
+    then reused as scratch for the squared row.  Residual entries that round
+    into [-NEGATIVE_TOL, 0) are clamped to zero; anything lower means the
+    update lost positive semidefiniteness and raises BreakdownError.
     """
+    # selected entries are pinned to exactly 0 and the rest kept non-negative,
+    # so a positive argmax is unselected; ties go to the smallest index
+    t = int(np.argmax(e))
+    if not e[t] > 0.0:
+        return ValueError("no unselected index with positive residual remains")
     u = PT[:s, t]
+    nu_sq = float(diag[t] - u @ u)
+    if not nu_sq > RANK_TOL * diag[t]:
+        return BreakdownError(s, nu_sq)
+    nu = float(np.sqrt(nu_sq))
+    col = kernel_column(spec, dataset, t, sq_norms)
     p = PT[s]
     if s:
         np.matmul(u, PT[:s], out=p)
@@ -281,3 +267,4 @@ def _append_column(
         if worst < -NEGATIVE_TOL:
             raise BreakdownError(s, worst)
         np.clip(e, 0.0, None, out=e)
+    return None

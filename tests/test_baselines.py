@@ -180,22 +180,45 @@ class TestRestrictedKernelKmeans:
         med_a, med_o = float(np.median(approx_objs)), float(np.median(oracle_objs))
         assert abs(med_a - med_o) <= 0.10 * med_o
 
-    def test_objective_recomputable_from_returned_weights(self):
-        # at subset_size = n the restricted centers are weight vectors over
-        # all points, so the objective can be recomputed from the Gram matrix
+    @pytest.mark.parametrize("subset_size", [30, 12])
+    def test_objective_recomputable_from_returned_weights(self, subset_size):
+        # the restricted centers are weight vectors over the sampled points,
+        # so the objective can be recomputed from the Gram matrix
         ds = rand_dataset(27, 30, 3)
-        model = approx_kkmeans(ds, GAUSS, subset_size=30, k=3, seed=2)
+        model = approx_kkmeans(ds, GAUSS, subset_size=subset_size, k=3, seed=2)
         K = full_gram(GAUSS, ds)
+        B = np.sort(np.random.default_rng(2).choice(30, size=subset_size, replace=False))
         A = model.centers
-        d2 = (np.diag(K)[:, None] - 2.0 * K @ A.T
-              + np.einsum("ij,ij->i", A @ K, A)[None, :])
+        d2 = (np.diag(K)[:, None] - 2.0 * K[:, B] @ A.T
+              + np.einsum("ij,ij->i", A @ K[np.ix_(B, B)], A)[None, :])
         recomputed = float(d2[np.arange(30), model.assignments].mean())
         assert model.objective == pytest.approx(recomputed, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assignments_equal_nystrom_kmeans(self, seed):
+        # a center confined to the span of the sample is its cluster's mean
+        # in the Nystrom embedding of that sample, so both give one partition
+        ds = rand_dataset(29, 40, 3)
+        a = approx_kkmeans(ds, GAUSS, subset_size=12, k=3, seed=seed)
+        b = nystrom_kmeans(ds, GAUSS, subset_size=12, k=3, seed=seed)
+        assert np.array_equal(a.assignments, b.assignments)
+        assert a.iterations == b.iterations
+        assert a.objective >= b.objective
 
     def test_k_larger_than_subset_rejected(self):
         ds = rand_dataset(0, 10, 2)
         with pytest.raises(ValueError):
             approx_kkmeans(ds, GAUSS, subset_size=3, k=4, seed=0)
+
+    def test_zero_clusters_rejected(self):
+        ds = rand_dataset(0, 10, 2)
+        with pytest.raises(ValueError, match="k must be"):
+            approx_kkmeans(ds, GAUSS, subset_size=5, k=0, seed=0)
+
+    def test_zero_iterations_rejected(self):
+        ds = rand_dataset(0, 10, 2)
+        with pytest.raises(ValueError, match="max_iter"):
+            approx_kkmeans(ds, GAUSS, subset_size=5, k=2, seed=0, max_iter=0)
 
 
 class TestDeterminism:

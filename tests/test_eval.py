@@ -166,6 +166,10 @@ class TestTraceObjective:
             trace_objective(K, np.array([0, 1, 2, 3]), 3)  # id out of range
         with pytest.raises(ValueError):
             trace_objective(K, np.array([0, 0, 0, 0]), 2)  # empty cluster
+        factor = icf_factorize(Dataset(np.random.default_rng(36).normal(size=(5, 2))), GAUSS,
+                               max_rank=2, epsilon=1e-300)
+        with pytest.raises(ValueError, match="does not match n=4"):
+            trace_objective(factor, np.array([0, 1, 0, 1]), 2)  # n mismatch
 
 
 class TestBoundGap:

@@ -34,6 +34,39 @@ def exact_rank_dataset(seed: int, r: int, n: int) -> Dataset:
     return Dataset(G.T)
 
 
+def random_cases(seed: int, count: int) -> list:
+    """Seeded random draws of size, dimension, scale, kernel and max_rank."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        ds = Dataset(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1.0, 1.0))
+        spec = LINEAR if rng.random() < 0.25 else KernelSpec(sigma=float(10.0 ** rng.uniform(-2.0, 2.0)))
+        cases.append((ds, spec, int(rng.integers(1, n + 1))))
+    return cases
+
+
+# (dataset, kernel, max_rank) inputs for the factorization invariants
+FACTOR_CASES = [
+    (rand_dataset(0, 40, 3), GAUSS, 40),
+    (gen_synthetic("parabolic", 30, 0.05, 1), KernelSpec(sigma=8.0), 20),
+    (rand_dataset(2, 35, 4), LINEAR, 35),
+    # duplicated points: the Gram matrix has rank at most 20
+    (Dataset(np.tile(np.random.default_rng(3).normal(size=(20, 3)), (2, 1))), GAUSS, 40),
+    # a single point
+    (rand_dataset(10, 1, 3), GAUSS, 1),
+    # sigma extremes: all ones up to rounding, and the identity
+    (rand_dataset(11, 30, 3), KernelSpec(sigma=1e-12), 30),
+    (rand_dataset(12, 30, 3), KernelSpec(sigma=1e12), 30),
+    # all points identical: rank 1
+    (Dataset(np.full((12, 3), 0.7)), GAUSS, 12),
+    # rank exhaustion: a linear Gram matrix of rank 2
+    (exact_rank_dataset(13, 2, 30), LINEAR, 30),
+    (rand_dataset(7, 25, 3), GAUSS, 15),
+    *random_cases(14, 6),
+]
+
+
 class TestFactorizeBasics:
     def test_three_identical_points(self):
         ds = Dataset(np.zeros((3, 2)))
@@ -172,16 +205,29 @@ class TestStoppingRules:
 
 
 class TestIcfStep:
-    def test_stepwise_equals_one_shot(self):
-        ds = rand_dataset(7, 25, 3)
-        f = icf_factorize(ds, GAUSS, max_rank=1, epsilon=1e-300)
-        for _ in range(14):
-            f = icf_step(f, ds, GAUSS)
-        once = icf_factorize(ds, GAUSS, max_rank=15, epsilon=1e-300)
+    @pytest.mark.parametrize("ds,spec", [case[:2] for case in FACTOR_CASES])
+    def test_stepwise_equals_one_shot(self, ds, spec):
+        # step until icf_step refuses: the one-shot loop stops at the same
+        # rank, and the refusal names why it stopped
+        f = icf_factorize(ds, spec, max_rank=1, epsilon=1e-300)
+        for _ in range(ds.n):
+            try:
+                f = icf_step(f, ds, spec)
+            except (ValueError, BreakdownError) as err:
+                refusal = err
+                break
+        else:
+            pytest.fail("icf_step never refused")
+        once = icf_factorize(ds, spec, max_rank=ds.n, epsilon=1e-300)
         assert np.array_equal(f.P, once.P)
         assert np.array_equal(f.pivots, once.pivots)
         assert np.array_equal(f.trace_history, once.trace_history)
         assert f.kernel_evals == once.kernel_evals
+        if once.s == ds.n or not np.max(once.residual_diag) > 0.0:
+            assert type(refusal) is ValueError
+        else:
+            assert type(refusal) is BreakdownError
+            assert refusal.iteration == once.s
 
     def test_each_step_takes_the_largest_residual_entry(self):
         ds = rand_dataset(7, 25, 3)
@@ -220,13 +266,7 @@ class TestIcfStep:
 
 
 class TestInvariants:
-    CASES = [
-        (rand_dataset(0, 40, 3), GAUSS, 40),
-        (gen_synthetic("parabolic", 30, 0.05, 1), KernelSpec(sigma=8.0), 20),
-        (rand_dataset(2, 35, 4), LINEAR, 35),
-        # duplicated points: the Gram matrix has rank at most 20
-        (Dataset(np.tile(np.random.default_rng(3).normal(size=(20, 3)), (2, 1))), GAUSS, 40),
-    ]
+    CASES = FACTOR_CASES
 
     @pytest.mark.parametrize("ds,spec,max_rank", CASES)
     def test_structural_invariants(self, ds, spec, max_rank):
