@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cluster import EIG_CLAMP, ClusterModel, lloyd
+from .cluster import ClusterModel, _clamped_eigh, lloyd
 from .data import Dataset
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_column, kernel_diag
 
@@ -115,15 +115,15 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
 def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int):
     """Gram columns K_MB of a sorted uniform sample and W = U_r D_r^{-1/2}.
 
-    U D U^T is K_BB with eigenvalues up to EIG_CLAMP times the largest dropped,
+    U D U^T is K_BB with the eigenvalues _clamped_eigh zeroes dropped,
     so W W^T is its pseudo-inverse and K_MB W the Nystrom embedding.
     """
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
     B = np.sort(np.random.default_rng(seed).choice(dataset.n, size=subset_size, replace=False))
     K_MB = np.column_stack([kernel_column(spec, dataset, int(t)) for t in B])
-    w, U = np.linalg.eigh(K_MB[B])
-    keep = w > EIG_CLAMP * max(float(w[-1]), 0.0)
+    w, U = _clamped_eigh(K_MB[B])
+    keep = w > 0.0
     if not np.any(keep):
         raise ValueError("sampled kernel block is numerically zero")
     return K_MB, U[:, keep] / np.sqrt(w[keep])

@@ -168,10 +168,15 @@ def oracle_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GU
 
 def psd_embedding(K: np.ndarray) -> np.ndarray:
     """Rows of U sqrt(D) for a symmetric PSD matrix, small eigenvalues zeroed."""
-    w, U = np.linalg.eigh(K)
-    cutoff = EIG_CLAMP * max(float(w[-1]), 0.0)
-    w = np.where(w > cutoff, w, 0.0)
+    w, U = _clamped_eigh(K)
     return U * np.sqrt(w)
+
+
+def _clamped_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a symmetric matrix, eigenvalues <= EIG_CLAMP times the largest set to 0."""
+    w, U = np.linalg.eigh(K)
+    w[w <= EIG_CLAMP * max(float(w[-1]), 0.0)] = 0.0
+    return w, U
 
 
 def _one_hot(assign: np.ndarray, k: int) -> np.ndarray:

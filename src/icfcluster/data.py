@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,14 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def _centered(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only points minus their mean, feature-major (d x n), and their squared norms."""
+        XT = np.ascontiguousarray((self.points - self.points.mean(axis=0)).T)
+        sq = np.einsum("ji,ji->i", XT, XT)
+        XT.flags.writeable = sq.flags.writeable = False
+        return XT, sq
 
 
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:

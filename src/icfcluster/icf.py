@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag, point_sq_norms
+from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative; anything below this
 # indicates a genuinely indefinite update, not rounding
@@ -91,6 +91,8 @@ class IcfFactor:
         n, s = P.shape
         if pivots.shape != (s,) or len(np.unique(pivots)) != s:
             raise ValueError("pivots must be s distinct indices")
+        if np.any((pivots < 0) | (pivots >= n)):
+            raise ValueError(f"pivots must be indices in [0, {n})")
         if diag.shape != (n,):
             raise ValueError("residual_diag must have length n")
         if hist.shape != (s + 1,):
@@ -128,7 +130,6 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     diag = kernel_diag(spec, dataset).astype(np.float64, copy=True)
     e = diag.copy()
-    sq_norms = point_sq_norms(dataset)
     # the factor is built transposed (columns as contiguous rows) so the
     # per-step matvec and downdate stream memory instead of striding; this
     # buffer is the factor's only storage, P is returned as a view of it
@@ -137,7 +138,7 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
     history = [float(np.sum(e))]
     s = 0
     while s < max_rank and history[-1] > epsilon:
-        if _step(PT, pivots, e, s, diag, dataset, spec, sq_norms) is not None:
+        if _step(PT, pivots, e, s, diag, dataset, spec) is not None:
             break
         history.append(float(np.sum(e)))
         s += 1
@@ -160,7 +161,7 @@ def icf_step(factor: IcfFactor, dataset: Dataset, spec: KernelSpec) -> IcfFactor
     PT[:s] = factor.P.T
     pivots = np.empty(s + 1, dtype=np.int64)
     pivots[:s] = factor.pivots
-    refused = _step(PT, pivots, e, s, kernel_diag(spec, dataset), dataset, spec, point_sq_norms(dataset))
+    refused = _step(PT, pivots, e, s, kernel_diag(spec, dataset), dataset, spec)
     if refused is not None:
         raise refused
     history = np.append(factor.trace_history, float(np.sum(e)))
@@ -226,7 +227,7 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _step(PT: np.ndarray, pivots: np.ndarray, e: np.ndarray, s: int, diag: np.ndarray,
-          dataset: Dataset, spec: KernelSpec, sq_norms: np.ndarray) -> Exception | None:
+          dataset: Dataset, spec: KernelSpec) -> Exception | None:
     """Take step s at the largest residual entry t: fill PT[s], record t, downdate e.
 
     PT holds the factor transposed, one column per contiguous row, and
@@ -249,7 +250,7 @@ def _step(PT: np.ndarray, pivots: np.ndarray, e: np.ndarray, s: int, diag: np.nd
     if not nu_sq > RANK_TOL * diag[t]:
         return BreakdownError(s, nu_sq)
     nu = float(np.sqrt(nu_sq))
-    col = kernel_column(spec, dataset, t, sq_norms)
+    col = kernel_column(spec, dataset, t)
     p = PT[s]
     if s:
         np.matmul(u, PT[:s], out=p)

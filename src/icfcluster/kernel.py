@@ -28,9 +28,7 @@ class KernelSpec:
         if self.family == "gaussian":
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
                 raise ValueError(f"gaussian kernel needs sigma > 0, got {self.sigma}")
-        elif self.family == "linear":
-            pass
-        else:
+        elif self.family != "linear":
             raise ValueError(f"unknown kernel family {self.family!r}")
 
 
@@ -46,40 +44,28 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y))
 
 
-def kernel_column(
-    spec: KernelSpec, dataset: Dataset, t: int, sq_norms: np.ndarray | None = None
-) -> np.ndarray:
+def kernel_column(spec: KernelSpec, dataset: Dataset, t: int) -> np.ndarray:
     """Column t of the Gram matrix: k(x_i, x_t) for every i.
 
-    The Gaussian entry at i = t is exactly 1.0 with either distance form.
-    Passing sq_norms (from point_sq_norms) computes squared distances as
-    ||x_i||^2 + ||x_t||^2 - 2 x_i.x_t, one matvec instead of forming the
-    n x d difference array; repeated column queries on one dataset should
-    use it.
+    Gaussian: ||x_i||^2 + ||x_t||^2 - 2 x_i.x_t about the points' mean (cached
+    per dataset) so it does not cancel far from the origin, clamped at 0 and
+    pinned to 0 at t, so the entry there is exactly 1.0.  Linear: x_i.x_t on
+    the raw points; that kernel is not translation-invariant.  einsum sums
+    both in a fixed order: entry (i, t) has the bits of entry (t, i).
     """
     n = dataset.n
     if not 0 <= t < n:
         raise ValueError(f"index {t} out of range for n={n}")
-    X = dataset.points
     if spec.family != "gaussian":
-        return X @ X[t]
-    if sq_norms is None:
-        diff = X - X[t]
-        return np.exp(-spec.sigma * np.einsum("ij,ij->i", diff, diff))
-    d2 = sq_norms + sq_norms[t]
-    tmp = X @ X[t]
-    tmp *= 2.0
-    d2 -= tmp
+        X = dataset.points
+        return np.einsum("ij,j->i", X, X[t])
+    XT, sq = dataset._centered
+    d2 = sq + sq[t]
+    d2 += np.einsum("ji,j->i", XT, -2.0 * XT[:, t])
     np.maximum(d2, 0.0, out=d2)
     d2[t] = 0.0
     d2 *= -spec.sigma
     return np.exp(d2, out=d2)
-
-
-def point_sq_norms(dataset: Dataset) -> np.ndarray:
-    """Squared Euclidean norm of every point, for kernel_column's cached form."""
-    X = dataset.points
-    return np.einsum("ij,ij->i", X, X)
 
 
 def kernel_diag(spec: KernelSpec, dataset: Dataset) -> np.ndarray:
@@ -95,8 +81,8 @@ def full_gram(spec: KernelSpec, dataset: Dataset, guard: int = DEFAULT_GUARD) ->
 
     Refuses when n exceeds the guard; pass a larger guard explicitly to
     acknowledge the O(n^2) memory cost.  Built column by column from
-    kernel_column, which makes the result exactly symmetric and bitwise
-    consistent with individual column queries.
+    kernel_column, so for both families the result is exactly symmetric and
+    each column has the bits of the single-column query.
     """
     n = dataset.n
     if n > guard:

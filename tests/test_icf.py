@@ -14,7 +14,6 @@ from icfcluster import (
     icf_step,
     kernel_column,
     parse_factor_dump,
-    point_sq_norms,
     reconstruct,
     residual_trace,
 )
@@ -24,8 +23,8 @@ GAUSS = KernelSpec(sigma=0.5)
 LINEAR = KernelSpec(family="linear")
 
 
-def rand_dataset(seed: int, n: int, d: int) -> Dataset:
-    return Dataset(np.random.default_rng(seed).normal(size=(n, d)))
+def rand_dataset(seed: int, n: int, d: int, offset: float = 0.0) -> Dataset:
+    return Dataset(np.random.default_rng(seed).normal(size=(n, d)) + offset)
 
 
 def exact_rank_dataset(seed: int, r: int, n: int) -> Dataset:
@@ -64,6 +63,9 @@ FACTOR_CASES = [
     (exact_rank_dataset(13, 2, 30), LINEAR, 30),
     (rand_dataset(7, 25, 3), GAUSS, 15),
     *random_cases(14, 6),
+    # far from the origin, where expanded squared distances cancel
+    (rand_dataset(15, 100, 3, offset=1e4), GAUSS, 100),
+    (rand_dataset(16, 100, 3, offset=1e6), GAUSS, 100),
 ]
 
 
@@ -107,10 +109,7 @@ class TestFactorizeBasics:
         ds = rand_dataset(0, 20, 3)
         f = icf_factorize(ds, GAUSS, max_rank=1, epsilon=1e-300)
         assert f.pivots.tolist() == [0]
-        cached = kernel_column(GAUSS, ds, 0, point_sq_norms(ds))
-        assert np.array_equal(f.P[:, 0], cached)
-        direct = kernel_column(GAUSS, ds, 0)
-        np.testing.assert_allclose(f.P[:, 0], direct, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(f.P[:, 0], kernel_column(GAUSS, ds, 0))
 
     def test_linear_kernel_picks_largest_norm_first(self):
         ds = Dataset(np.array([[1.0], [3.0], [2.0]]))
@@ -119,6 +118,15 @@ class TestFactorizeBasics:
         assert f.P[:, 0].tolist() == [1.0, 3.0, 2.0]
         # one-dimensional points span a rank-1 Gram matrix
         assert f.s == 1
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_translation_moves_the_factor_by_input_rounding_only(self, offset):
+        # the Gaussian kernel does not see a shift; what the shifted factor
+        # may differ by is the rounding of the shifted inputs themselves
+        base = icf_factorize(rand_dataset(0, 100, 3), GAUSS, max_rank=100, epsilon=1e-300)
+        moved = icf_factorize(rand_dataset(0, 100, 3, offset), GAUSS, max_rank=100, epsilon=1e-300)
+        assert np.array_equal(moved.pivots, base.pivots)
+        np.testing.assert_allclose(moved.P, base.P, rtol=0.0, atol=1e-14 * offset)
 
 
 class TestFactorizeAgainstDense:
@@ -447,6 +455,12 @@ class TestValidation:
             IcfFactor(P, np.array([0, 1]), np.zeros(3), hist, 12)
         with pytest.raises(ValueError):
             IcfFactor(P, np.array([0, 1]), diag, hist[:2], 12)
+
+    def test_factor_constructor_rejects_pivots_outside_the_rows(self):
+        P, diag, hist = np.ones((10, 2)), np.zeros(10), np.array([10.0, 5.0, 0.0])
+        for bad in (12, -1):
+            with pytest.raises(ValueError, match=r"pivots must be indices in \[0, 10\)"):
+                IcfFactor(P, np.array([0, bad]), diag, hist, 30)
 
     def test_factor_constructor_copies_its_inputs(self):
         P, pivots, diag, hist = np.ones((4, 2)), np.array([0, 1]), np.zeros(4), np.array([4.0, 2.0, 0.0])

@@ -12,7 +12,6 @@ from icfcluster import (
     kernel_column,
     kernel_diag,
     kernel_eval,
-    point_sq_norms,
 )
 
 
@@ -98,15 +97,16 @@ class TestKernelColumn:
             kernel_column(spec, ds, -1)
 
     def test_cached_norm_form_agrees_with_direct(self):
-        # the expanded-norms evaluation must track the direct difference form
-        ds = _random_dataset(50, 8, seed=4, scale=3.0)
+        # the expanded norms, taken about the mean, track the pointwise
+        # difference form even far from the origin
         spec = KernelSpec("gaussian", 0.2)
-        sq = point_sq_norms(ds)
-        for t in (0, 17, 49):
-            direct = kernel_column(spec, ds, t)
-            cached = kernel_column(spec, ds, t, sq)
-            assert np.allclose(cached, direct, rtol=1e-12, atol=1e-12)
-            assert cached[t] == 1.0
+        for offset in (0.0, 1e4, 1e6):
+            ds = Dataset(_random_dataset(50, 8, seed=4, scale=3.0).points + offset)
+            for t in (0, 17, 49):
+                col = kernel_column(spec, ds, t)
+                direct = [kernel_eval(spec, x, ds.points[t]) for x in ds.points]
+                np.testing.assert_allclose(col, direct, rtol=1e-12, atol=1e-12)
+                assert col[t] == 1.0
 
     def test_linear_column(self):
         ds = Dataset(np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
@@ -147,6 +147,18 @@ class TestFullGram:
         ds = _random_dataset(20, 5, seed=6)
         K = full_gram(KernelSpec("gaussian", 1.0), ds)
         assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("family", ["gaussian", "linear"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 16, 33])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 20, 33, 65])
+    def test_exactly_symmetric_for_every_shape(self, n, d, family):
+        # dot products are summed in a fixed order, whatever a row's position
+        ds = _random_dataset(n, d, seed=n * 100 + d)
+        spec = KernelSpec(family, 1.0 if family == "gaussian" else None)
+        K = full_gram(spec, ds)
+        assert np.array_equal(K, K.T)
+        for t in range(n):
+            assert np.array_equal(K[:, t], kernel_column(spec, ds, t))
 
     def test_entries_in_unit_interval(self):
         ds = _random_dataset(15, 3, seed=7, scale=4.0)
