@@ -17,6 +17,16 @@ import numpy as np
 
 _SYNTH_KINDS = ("ring", "parabolic", "zigzag")
 
+# LIBSVM text is converted one block of about this many characters at a time,
+# so a block's token lists, not the whole text's, sit beside the rows read
+_BLOCK_CHARS = 1 << 18
+
+# every byte but the space and the colon, deleted to leave the order in which
+# those two occur
+_NOT_SPACE_OR_COLON = bytes(sorted(set(range(256)) - set(b" :")))
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class ParseError(ValueError):
     """Raised for malformed LIBSVM input, with a 1-based line number."""
@@ -78,6 +88,12 @@ class Dataset:
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM text into a Dataset.
 
+    The text is read in blocks of about 256 KB, each cut just after a newline.
+    A block is converted by a few whole-block string and numpy operations;
+    only when one of them fails does the line-by-line check run over the
+    block, to name the first bad line.  Dense and sparse rows take the same
+    path, and indices and values keep Python's int and float syntax.
+
     Args:
         source: str, bytes, file-like object, or path to a file.  Bytes are
             decoded as UTF-8; both LF and CRLF line endings are accepted.
@@ -85,49 +101,39 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
         name: dataset name to attach.
 
     Raises:
-        ParseError: on any malformed line, reporting its 1-based number.
+        ParseError: on any malformed line, reporting its 1-based number; also
+            for the line whose index makes the dense point matrix larger than
+            the machine's memory.
     """
     text = _read_text(source)
-    rows: list[dict[int, float]] = []
-    labels: list[int] = []
-    max_index = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        labels.append(_parse_label(parts[0], line_no))
-        feats: dict[int, float] = {}
-        prev = 0
-        for tok in parts[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(line_no, f"expected index:value, got {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(line_no, f"invalid index:value pair {tok!r}") from None
-            if idx <= prev:
-                raise ParseError(line_no, f"indices must be 1-based and strictly increasing, got {idx} after {prev}")
-            if not np.isfinite(val):
-                raise ParseError(line_no, f"non-finite value {val_s!r}")
-            feats[idx] = val
-            prev = idx
-        max_index = max(max_index, prev)
-        rows.append(feats)
-    if not rows:
+    label_blocks, row_blocks = [], []
+    n = max_index = lines_before = 0
+    for block in _blocks(text):
+        lines = block.splitlines()
+        try:
+            labels, rows = _convert_block(lines, n, max_index)
+        except (ValueError, OverflowError):
+            _check_lines(lines, lines_before, n, max_index)
+            raise
+        label_blocks.append(labels)
+        row_blocks.append(rows)
+        n += rows.shape[0]
+        max_index = max(max_index, rows.shape[1])
+        lines_before += len(lines)
+    if not n:
         raise ParseError(0, "no data lines")
     width = num_features if num_features is not None else max_index
     if width < 1:
         raise ParseError(0, "no feature indices present and num_features not given")
     if max_index > width:
         raise ValueError(f"index {max_index} exceeds num_features={width}")
-    points = np.zeros((len(rows), width))
-    for i, feats in enumerate(rows):
-        for idx, val in feats.items():
-            points[i, idx - 1] = val
-    return Dataset(points, np.array(labels, dtype=np.int64), name=name)
+    points = np.zeros((n, width))
+    start = 0
+    for rows in row_blocks:
+        points[start:start + rows.shape[0], :rows.shape[1]] = rows
+        start += rows.shape[0]
+    del row_blocks, rows  # free them before Dataset copies the points
+    return Dataset(points, np.concatenate(label_blocks), name=name)
 
 
 def to_libsvm(dataset: Dataset) -> str:
@@ -203,20 +209,119 @@ def _triangle_wave(x: np.ndarray) -> np.ndarray:
     return 0.5 - np.abs(np.mod(x, 1.0) - 0.5)
 
 
-def _parse_label(token: str, line_no: int) -> int:
+def _blocks(text: str):
+    """Yield text in pieces of about _BLOCK_CHARS characters, each cut just after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and dense rows of one block's lines, by whole-block operations.
+
+    Checks the rules that _check_lines states, on all lines at once, and
+    raises ValueError or OverflowError, naming no line, when any fails.
+    rows_before and max_index are the data lines and the largest index
+    before this block.
+    """
+    parts = [p for p in map(str.split, lines) if p]
+    labels = _int64s(_label, [p[0] for p in parts])
+    counts = np.fromiter(map(len, parts), np.int64, len(parts)) - 1
+    tokens = [t for p in parts for t in p[1:]]
+    feats = " ".join(tokens)
+    pieces = feats.replace(":", " ").split()
+    # spaces and colons alternate, colon first, when each token has one colon
+    # (non-ASCII characters become "?" and are deleted with the rest); twice
+    # as many pieces as tokens then means each colon has text on both sides
+    colons = feats.encode("ascii", "replace").translate(None, _NOT_SPACE_OR_COLON)
+    if colons != (b": " * len(tokens))[:-1] or len(pieces) != 2 * len(tokens):
+        raise ValueError("a feature token is not index:value")
+    idx = _int64s(int, pieces[0::2])
+    vals = np.fromiter(map(float, pieces[1::2]), np.float64, len(tokens))
+    # each index must exceed the one before it in its row, the first one 0
+    prev = np.zeros_like(idx)
+    prev[1:] = idx[:-1]
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
+    width = int(idx.max(initial=0))
+    if not (np.all(idx > prev) and np.all(np.isfinite(vals))
+            and _fits_in_memory(rows_before + len(parts), max(max_index, width))):
+        raise ValueError("an index or value breaks a rule")
+    rows = np.zeros((len(parts), width))
+    rows[np.repeat(np.arange(len(parts)), counts), idx - 1] = vals
+    return labels, rows
+
+
+def _int64s(convert, tokens: list[str]) -> np.ndarray:
+    """convert applied to each token, as int64, calling it once per distinct token.
+
+    Labels and indices repeat from line to line, so this is a few calls per
+    block where a call per token would be one per value read.
+    """
+    table = {token: convert(token) for token in set(tokens)}
+    return np.fromiter(map(table.__getitem__, tokens), np.int64, len(tokens))
+
+
+def _check_lines(lines: list[str], lines_before: int, rows: int, max_index: int) -> None:
+    """Raise the ParseError of the first line that breaks a rule of the format.
+
+    These are the LIBSVM rules, one line at a time.  lines_before, rows and
+    max_index are the lines, the data lines and the largest index before
+    lines[0].
+    """
+    for line_no, line in enumerate(lines, start=lines_before + 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            _label(parts[0])
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        prev = 0
+        for tok in parts[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise ParseError(line_no, f"expected index:value, got {tok!r}")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(line_no, f"invalid index:value pair {tok!r}") from None
+            if idx <= prev:
+                raise ParseError(line_no, f"indices must be 1-based and strictly increasing, got {idx} after {prev}")
+            if not np.isfinite(val):
+                raise ParseError(line_no, f"non-finite value {val_s!r}")
+            prev = idx
+        rows += 1
+        max_index = max(max_index, prev)
+        if not _fits_in_memory(rows, max_index):
+            raise ParseError(line_no, f"index {max_index} needs a dense {rows} x {max_index} point matrix "
+                                      f"of {rows * max_index * 8 / 1e9:.3g} GB, more than this machine's memory")
+
+
+def _label(token: str) -> int:
+    """A label token's value: a non-negative integer, written as an int or an integral float."""
     try:
         label = int(token)
     except ValueError:
         try:
             as_float = float(token)
         except ValueError:
-            raise ParseError(line_no, f"invalid label {token!r}") from None
+            raise ValueError(f"invalid label {token!r}") from None
         if not as_float.is_integer():
-            raise ParseError(line_no, f"label {token!r} is not an integer") from None
+            raise ValueError(f"label {token!r} is not an integer") from None
         label = int(as_float)
     if label < 0:
-        raise ParseError(line_no, f"label {label} is negative")
+        raise ValueError(f"label {label} is negative")
+    if label > _INT64_MAX:
+        raise ValueError(f"label {label} does not fit in 64 bits")
     return label
+
+
+def _fits_in_memory(rows: int, width: int) -> bool:
+    """Whether a dense rows x width float64 matrix fits in the machine's physical memory."""
+    return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _read_text(source) -> str:

@@ -19,6 +19,7 @@ noise from being amplified by a small nu).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +198,12 @@ def dump_factor(factor: IcfFactor) -> str:
 
 
 def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of dump_factor; returns (pivots, P, trace_history)."""
+    """Inverse of dump_factor; returns (pivots, P, trace_history).
+
+    Raises ValueError, naming the section or the row of P, for a dump that
+    is malformed, truncated, holds a non-finite value or goes on after the
+    trace history.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("ICF "):
         raise ValueError("not a factor dump: missing ICF header")
@@ -206,6 +212,8 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, s = int(n_s), int(s_s)
     except ValueError:
         raise ValueError(f"malformed header {lines[0]!r}") from None
+    if n < 0 or s < 0:
+        raise ValueError(f"malformed header {lines[0]!r}: sizes must be non-negative")
     if len(lines) < n + 3:
         raise ValueError(f"truncated dump: expected {n + 3} lines, got {len(lines)}")
     if 2 * n * s > len(text):
@@ -213,17 +221,56 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # before P is allocated, so a corrupt header cannot request more
         # memory than a few times the text's size
         raise ValueError(f"truncated dump: {len(text)} characters cannot hold {n} x {s} values")
-    pivots = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
-    P = np.empty((n, s))
-    for i in range(n):
-        row = list(map(float, lines[2 + i].split()))
+    try:
+        pivots = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed pivots: {exc}") from None
+    P = _read_rows(lines[2:2 + n], s)
+    history = np.array(_finite_floats(lines[2 + n], "trace history"))
+    if pivots.shape != (s,) or history.shape != (s + 1,):
+        raise ValueError("dump sections do not match header sizes")
+    if np.any((pivots < 0) | (pivots >= n)) or len(np.unique(pivots)) != s:
+        raise ValueError(f"malformed pivots: expected {s} distinct indices in [0, {n})")
+    if any(line.strip() for line in lines[3 + n:]):
+        raise ValueError("unexpected data after the trace history")
+    return pivots, P, history
+
+
+def _read_rows(rows: list[str], s: int) -> np.ndarray:
+    """The rows of P, read by one np.loadtxt call when it can.
+
+    loadtxt reads a subset of float()'s syntax.  When it fails, or gives
+    anything but a finite len(rows) x s array, the rows are read one at a
+    time with float(), which names the first bad one.  A blank last row is
+    bad when s > 0 and goes to that loop directly, which also keeps loadtxt
+    from warning about input with no data.
+    """
+    if s and rows and rows[-1].strip():
+        try:
+            P = np.loadtxt(rows, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if P.shape == (len(rows), s) and np.all(np.isfinite(P)):
+                return P
+    P = np.empty((len(rows), s))
+    for i, line in enumerate(rows):
+        row = _finite_floats(line, f"row {i} of P")
         if len(row) != s:
             raise ValueError(f"row {i} of P has {len(row)} values, expected {s}")
         P[i] = row
-    history = np.array([float(v) for v in lines[2 + n].split()])
-    if pivots.shape != (s,) or history.shape != (s + 1,):
-        raise ValueError("dump sections do not match header sizes")
-    return pivots, P, history
+    return P
+
+
+def _finite_floats(line: str, section: str) -> list[float]:
+    """The whitespace-separated values of one line, which must all be finite floats."""
+    try:
+        values = list(map(float, line.split()))
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{section} holds a non-finite value")
+    return values
 
 
 def _step(PT: np.ndarray, pivots: np.ndarray, e: np.ndarray, s: int, diag: np.ndarray,

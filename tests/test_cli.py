@@ -174,6 +174,13 @@ class TestErrorPaths:
         assert code == 1
         assert "bad synthetic spec" in stderr
 
+    def test_index_too_large_for_memory(self, tmp_path, capsys):
+        path = tmp_path / "wide.libsvm"
+        path.write_text("1 1:1\n1 1000000000000000:1\n")
+        code, _, stderr = run_cli(capsys, "cluster", str(path), "--sigma", "1")
+        assert code == 1
+        assert stderr.startswith("error: line 2: index 1000000000000000 needs a dense 2 x 1000000000000000")
+
     def test_subset_size_beyond_n(self, capsys):
         code, _, stderr = run_cli(
             capsys, "factorize", "synth:ring:5:0.0:0", "--sigma", "1",

@@ -1,7 +1,9 @@
 """Dataset container, LIBSVM parsing/serialization, and synthetic generators."""
 
+import functools
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,11 +132,52 @@ class TestParseLibsvm:
             with pytest.raises(ParseError):
                 parse_libsvm(bad)
 
+    def test_colon_faults_that_balance_in_count_rejected(self):
+        # as many colons as tokens, and twice as many pieces, yet one token
+        # has two colons and another none
+        for text, line_no in (("1 1:2:3 5", 1), ("0 1:1.0\n1 1:2:3 5 6:7\n", 2)):
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(text)
+            assert exc.value.line_no == line_no
+
+    def test_non_ascii_digits_keep_int_and_float_syntax(self):
+        ds = parse_libsvm("\u0661 \u0661:2.5 2:\u0663.0\n0 2:1_0.0\n")
+        assert np.array_equal(ds.points, [[2.5, 3.0], [0.0, 10.0]])
+        assert np.array_equal(ds.labels, [1, 0])
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
             parse_libsvm("")
         with pytest.raises(ParseError):
             parse_libsvm("\n\n")
+
+    def test_index_too_large_for_memory_names_its_line(self):
+        # 10**30 does not fit in int64, 10**15 does; either makes a dense
+        # matrix of petabytes, refused before anything is allocated
+        for idx in (10 ** 15, 10 ** 30):
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(f"1 1:1.0\n\n2 3:1.0 {idx}:2.0\n0 1:1.0\n")
+            assert exc.value.line_no == 3
+            assert f"index {idx}" in str(exc.value)
+            assert f"2 x {idx}" in str(exc.value)
+
+    def test_label_beyond_int64_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("1 1:1.0\n99999999999999999999 1:2.0\n")
+        assert exc.value.line_no == 2
+
+    def test_peak_memory_on_a_10000_by_16_text(self):
+        # the points are 1.28 MB; the reader converts the 3.5 MB text in
+        # blocks, so only one block's tokens sit beside the rows read so far
+        rng = np.random.default_rng(8)
+        text = to_libsvm(Dataset(rng.normal(size=(10_000, 16)), rng.integers(0, 10, 10_000)))
+        tracemalloc.start()
+        try:
+            parse_libsvm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_large_reference_file_when_present(self):
         path = os.environ.get("PENDIGITS_PATH", "")
@@ -144,6 +187,96 @@ class TestParseLibsvm:
         assert ds.n == 10992
         assert ds.d == 16
         assert len(np.unique(ds.labels)) == 10
+
+
+# every line ending str.splitlines knows except a bare "\r", which would merge
+# with the "\n" of a following blank line
+LINE_ENDS = ["\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SEPARATORS = [" ", "\t", "  ", " \t "]
+
+
+@functools.lru_cache(maxsize=None)
+def varied_libsvm(seed: int, sparse: bool) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """A valid LIBSVM text of more than two of the reader's 256 KB blocks.
+
+    Its layout varies line by line: line endings, separators, blank lines,
+    `+1`/`01` indices, `2.0`/`+2` labels and, when sparse, omitted zeros and
+    label-only rows.  Returns its lines, their endings, and the points and
+    labels it was written from.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = (2_500, 40) if sparse else (2_000, 16)
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-5, 6, size=(n, d))
+    special = rng.random((n, d)) < 0.01
+    points[special] = rng.choice(AWKWARD, size=int(special.sum()))
+    if sparse:
+        points[rng.random((n, d)) < 0.7] = 0.0
+        points[rng.random(n) < 0.05] = 0.0
+        points[0, -1] = 1.0
+    labels = rng.integers(0, 20, n)
+    index_form = rng.integers(0, 3, size=(n, d))
+    lines = []
+    for i, (label, row) in enumerate(zip(labels.tolist(), points.tolist())):
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", " ", "\t "])))
+        tokens = [[str(label), f"{label}.0", f"+{label}"][rng.integers(3)]]
+        for j, value in enumerate(row):
+            if sparse and value == 0.0 and not np.signbit(value):
+                continue
+            index = [f"{j + 1}", f"+{j + 1}", f"0{j + 1}"][index_form[i, j]]
+            tokens.append(f"{index}:{value!r}")
+        seps = rng.choice(SEPARATORS, size=len(tokens) + 1)
+        lines.append(seps[0] * int(rng.random() < 0.1)
+                     + "".join(tok + sep for tok, sep in zip(tokens, seps[1:])))
+    return lines, rng.choice(LINE_ENDS, size=len(lines)).tolist(), points, labels
+
+
+FAULTS = ["no colon", "two colons", "index 0", "repeated index", "decreasing",
+          "inf", "nan", "label x", "label -1", "label 1.5"]
+
+
+def corrupt(tokens: list[str], kind: str) -> list[str]:
+    """One line's tokens with one fault of the given kind."""
+    label, feats = tokens[0], tokens[1:]
+    index, value = feats[0].split(":")
+    return {
+        "no colon": lambda: [label, index + value, *feats[1:]],
+        "two colons": lambda: [label, f"{index}:{value}:1", *feats[1:]],
+        "index 0": lambda: [label, f"0:{value}", *feats[1:]],
+        "repeated index": lambda: [label, feats[0], feats[0], *feats[1:]],
+        "decreasing": lambda: [label, feats[1], feats[0], *feats[2:]],
+        "inf": lambda: [label, f"{index}:inf", *feats[1:]],
+        "nan": lambda: [label, f"{index}:nan", *feats[1:]],
+        "label x": lambda: ["x", *feats],
+        "label -1": lambda: ["-1", *feats],
+        "label 1.5": lambda: ["1.5", *feats],
+    }[kind]()
+
+
+class TestParseAcrossBlocks:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_parses_bit_identically(self, sparse):
+        lines, ends, points, labels = varied_libsvm(21, sparse)
+        text = "".join(line + end for line, end in zip(lines, ends))
+        assert len(text) > 2 * 2 ** 18
+        assert text.splitlines() == lines
+        ds = parse_libsvm(text)
+        assert np.array_equal(bits(ds.points), bits(points))
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_fault_reports_its_absolute_line(self, sparse, kind):
+        lines, ends, _, _ = varied_libsvm(21, sparse)
+        rng = np.random.default_rng([22, sparse, FAULTS.index(kind)])
+        # a line with two features in the text's second half, past the first block
+        half = len(lines) // 2
+        at = half + int(rng.choice([i for i, line in enumerate(lines[half:]) if len(line.split()) >= 3]))
+        bad = lines.copy()
+        bad[at] = " ".join(corrupt(lines[at].split(), kind))
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("".join(line + end for line, end in zip(bad, ends)))
+        assert exc.value.line_no == at + 1
 
 
 class TestToLibsvm:

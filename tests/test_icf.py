@@ -1,5 +1,7 @@
 """Tests for the incomplete Cholesky factorization core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,13 @@ class TestInvariants:
         assert np.array_equal(np.triu(sub, k=1), np.zeros_like(sub))
         assert np.all(np.diag(sub) > 0)
 
+    @pytest.mark.parametrize("ds,spec,max_rank", CASES)
+    def test_pivot_rows_are_exact(self, ds, spec, max_rank):
+        f = icf_factorize(ds, spec, max_rank=max_rank, epsilon=1e-300)
+        K = full_gram(spec, ds, guard=100)
+        err = np.max(np.abs(reconstruct(f, guard=100)[f.pivots] - K[f.pivots]), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(K))
+
     def test_duplicated_points_stop_at_unique_rank(self):
         ds, spec, max_rank = self.CASES[3]
         f = icf_factorize(ds, spec, max_rank=max_rank, epsilon=1e-300)
@@ -413,6 +422,51 @@ class TestDumpAndParse:
     def test_parse_rejects_malformed_header(self):
         with pytest.raises(ValueError):
             parse_factor_dump("ICF six two\n")
+
+
+    def test_parse_rejects_negative_header_sizes(self):
+        for header in ("ICF -1 2", "ICF 2 -1"):
+            with pytest.raises(ValueError, match="malformed header"):
+                parse_factor_dump(header + "\n0 1\n1.0 2.0\n3.0 4.0\n1.0 2.0 3.0\n")
+
+    def test_parse_names_a_pivot_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="malformed pivots"):
+            parse_factor_dump("ICF 2 1\n0.5\n1.0\n2.0\n3.0 1.0\n")
+
+    def test_parse_rejects_pivots_outside_the_rows_or_repeated(self):
+        for pivots in ("5 1", "-1 1", "1 1"):
+            with pytest.raises(ValueError, match="malformed pivots"):
+                parse_factor_dump(f"ICF 2 2\n{pivots}\n1.0 0.0\n2.0 0.0\n3.0 1.0 0.5\n")
+
+    def test_parse_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="row 0 of P"):
+            parse_factor_dump("ICF 2 1\n0\ninf\n2.0\n3.0 1.0\n")
+        with pytest.raises(ValueError, match="trace history"):
+            parse_factor_dump("ICF 2 1\n0\n1.0\n2.0\n3.0 nan\n")
+
+    def test_parse_rejects_data_after_the_history(self):
+        text = dump_factor(icf_factorize(rand_dataset(2, 6, 2), GAUSS, max_rank=2, epsilon=1e-300))
+        assert parse_factor_dump(text + "\n \n")[1].shape == (6, 2)
+        with pytest.raises(ValueError, match="after the trace history"):
+            parse_factor_dump(text + "1.0\n")
+
+    @pytest.mark.parametrize("n,rows,bad", [(2, "1.0\n\n", 1), (3, "1.0\n\n2.0\n", 1), (2, "\n\n", 0)])
+    def test_parse_names_a_blank_row_of_P(self, n, rows, bad):
+        text = f"ICF {n} 1\n0\n{rows}3.0 1.0\n"
+        # all rows blank must not reach np.loadtxt, which warns on empty input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"row {bad} of P has 0 values"):
+                parse_factor_dump(text)
+
+    def test_parse_rejects_rows_wider_than_the_header(self):
+        with pytest.raises(ValueError, match="row 0 of P has 2 values"):
+            parse_factor_dump("ICF 2 1\n0\n1.0 2.0\n3.0 4.0\n1.0 0.5\n")
+
+    def test_parse_reads_any_float_syntax(self):
+        # underscores and non-ASCII digits are float() syntax
+        _, P, _ = parse_factor_dump("ICF 2 1\n0\n1_0.5\n\u0662.0\n3.0 1.0\n")
+        assert P.tolist() == [[10.5], [2.0]]
 
 
 class TestValidation:
