@@ -140,4 +140,6 @@ def _approx_solve(dataset: Dataset, spec: KernelSpec, K_MB: np.ndarray, W: np.nd
     Z = K_MB @ W
     model = lloyd(Z, k, seed, max_iter=max_iter, tol=tol)
     residual = np.maximum(kernel_diag(spec, dataset) - np.einsum("ij,ij->i", Z, Z), 0.0)
-    return replace(model, centers=model.centers @ W.T, objective=model.objective + float(residual.mean()))
+    residual_mean = float(residual.mean())
+    return replace(model, centers=model.centers @ W.T, objective=model.objective + residual_mean,
+                   objective_history=model.objective_history + residual_mean)

@@ -9,7 +9,7 @@ results are comparable across embeddings that agree on pairwise distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 # treated as zero when embedding a PSD matrix
 EIG_CLAMP = 1e-12
 
-# entries per block of the difference passes in _sq_dists (512 KB)
+# entries per block of the difference passes in _sq_dists and of the moved
+# points gathered by _add_moves (512 KB)
 _BLOCK_SIZE = 1 << 16
 
 
@@ -31,6 +32,11 @@ class ClusterModel:
 
     objective is the mean squared distance of points to their centers, which
     for an embedding with Gram matrix K equals the kernel k-means objective.
+    lloyd also records, per iteration, the objective its tol test used
+    (objective_history) and how many points changed cluster before that
+    iteration's center update (moved_history; the first entry is n, as
+    every point is placed).  Both have length iterations and default to
+    empty; all arrays are read-only.
     """
 
     assignments: np.ndarray
@@ -38,14 +44,15 @@ class ClusterModel:
     objective: float
     iterations: int
     converged: bool
+    objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+    moved_history: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        a = np.array(self.assignments, dtype=np.int64)
-        a.flags.writeable = False
-        object.__setattr__(self, "assignments", a)
-        c = np.array(self.centers, dtype=np.float64)
-        c.flags.writeable = False
-        object.__setattr__(self, "centers", c)
+        for name, dtype in (("assignments", np.int64), ("centers", np.float64),
+                            ("objective_history", np.float64), ("moved_history", np.int64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:
@@ -58,18 +65,21 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     The first center is uniform; each later one is drawn with probability
     proportional to squared distance from the nearest chosen center.  When
     every remaining point coincides with a chosen center the draw falls back
-    to uniform over the unchosen indices.  Points are read in place, in any
-    memory layout (a factor's P is column-major); the draws do not depend on
-    the layout.
+    to uniform over the unchosen indices.  Each chosen center costs one
+    n x s matrix-vector product (_center_dists).  A column-major input (a
+    factor's P) is read in place, other layouts are copied once, so the
+    draws do not depend on the layout.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asfortranarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(points, points[chosen[0]])
+    dists = _center_dists(points)
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
+        np.minimum(d2, dists(chosen[-1]), out=d2)
         d2[chosen] = 0.0
         total = float(d2.sum())
         if total > 0.0:
@@ -78,7 +88,6 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(remaining))
         chosen.append(idx)
-        np.minimum(d2, _sq_dists(points, points[idx]), out=d2)
     return points[chosen].copy()
 
 
@@ -93,11 +102,17 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
 
     Points are used in column-major order: a factor's P is read in place,
     other layouts are copied once, so results do not depend on the layout
-    (BLAS sums in a layout-dependent order).  An iteration is two n s k
-    matrix products: the assignment and the center sums as a k x n one-hot
-    matrix times the points.  Both the assignment and the tol test work about
-    the mean m of the points, so their rounding error scales with the points'
-    spread, not with their distance from the origin: a point goes to
+    (BLAS sums in a layout-dependent order).  An iteration is one n s k
+    matrix product for the assignment plus an O(moved s k) update of the
+    center sums from the points whose cluster changed: arrivals added,
+    departures subtracted, both about the mean, so the update's rounding
+    does not grow with the points' offset.  The first iteration's sums are
+    a k x n one-hot matrix times the points and are kept apart from the
+    updates, so a cluster no point has entered or left keeps them exactly;
+    the centers are always the sums over the counts.  Both the assignment
+    and the tol test work about the mean m of the points, so their rounding
+    error scales with the points' spread, not with their distance from the
+    origin: a point goes to
     argmin_j ||c_j - m||^2 - 2 (c_j - m).p + 2 (c_j - m).m, which is
     ||p - c_j||^2 - ||p - m||^2, and the tol test uses the objective
     (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n.  The returned objective
@@ -112,29 +127,40 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     centers = kmeans_pp_init(points, k, seed)
     mean = points.mean(axis=0)
     spread = float(_sq_dists(points, mean).sum())
+    offsets = centers - mean
+    norms = np.einsum("ij,ij->i", offsets, offsets)
     assign = None
-    prev_obj = np.inf
+    objectives, moves = [], []
     converged = False
-    iterations = 0
     for _ in range(max_iter):
-        offsets = centers - mean
         scores = (-2.0 * offsets) @ points.T
-        scores += (np.einsum("ij,ij->i", offsets, offsets) + 2.0 * (offsets @ mean))[:, None]
+        scores += (norms + 2.0 * (offsets @ mean))[:, None]
         new_assign = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
-        if assign is not None and np.array_equal(new_assign, assign):
-            converged = True
-            break
+        counts = np.bincount(new_assign, minlength=k)
+        if assign is None:
+            moved = n
+            first, first_counts = _one_hot(new_assign, k) @ points, counts
+            shift = np.zeros_like(first)
+        else:
+            changed = np.flatnonzero(new_assign != assign)
+            moved = changed.size
+            if not moved:
+                converged = True
+                break
+            _add_moves(shift, points, mean, changed, assign, new_assign)
         assign = new_assign
-        counts = np.bincount(assign, minlength=k)
-        centers = (_one_hot(assign, k) @ points) / counts[:, None]
-        iterations += 1
-        obj = max(spread - float(counts @ _sq_dists(centers, mean)), 0.0) / n
-        if np.isfinite(prev_obj) and prev_obj - obj <= tol * prev_obj:
+        centers = (first + (shift + (counts - first_counts)[:, None] * mean)) / counts[:, None]
+        offsets = centers - mean
+        norms = np.einsum("ij,ij->i", offsets, offsets)
+        obj = max(spread - float(counts @ norms), 0.0) / n
+        objectives.append(obj)
+        moves.append(moved)
+        if len(objectives) > 1 and objectives[-2] - obj <= tol * objectives[-2]:
             converged = True
             break
-        prev_obj = obj
     objective = float(_sq_dists(points, centers, assign).sum()) / n
-    return ClusterModel(assign, centers, objective, iterations, converged)
+    return ClusterModel(assign, centers, objective, len(objectives), converged,
+                        np.array(objectives), np.array(moves, dtype=np.int64))
 
 
 def icf_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
@@ -183,6 +209,47 @@ def _one_hot(assign: np.ndarray, k: int) -> np.ndarray:
     """k x n float indicator: row j is 1 where assign == j.  Multiplying a
     matrix by it sums the matrix's rows per cluster."""
     return (np.arange(k)[:, None] == assign).astype(np.float64)
+
+
+def _add_moves(shift: np.ndarray, points: np.ndarray, mean: np.ndarray, changed: np.ndarray,
+               old: np.ndarray, new: np.ndarray) -> None:
+    """Add the points changed (indices) to shift[new] and subtract them from
+    shift[old], about the mean, gathering at most _BLOCK_SIZE entries at a time."""
+    k, s = shift.shape
+    rows = max(1, _BLOCK_SIZE // max(s, 1))
+    for lo in range(0, changed.size, rows):
+        idx = changed[lo:lo + rows]
+        block = points[idx]
+        block -= mean
+        shift += (_one_hot(new[idx], k) - _one_hot(old[idx], k)) @ block
+
+
+def _center_dists(points: np.ndarray):
+    """A function giving the squared distances of all rows to row i.
+
+    Each call is one matrix-vector product over the points about their mean
+    m: ||p - m||^2 + ||c - m||^2 - 2 (c - m).(p - m).  Values within that
+    form's rounding bound of 0, negative ones included, are recomputed by
+    differences, so every value is >= 0 and a row equal to row i gets
+    exactly 0.
+    """
+    s = points.shape[1]
+    mean = points.mean(axis=0)
+    spread = _sq_dists(points, mean)
+    # each term of the form is a sum of s products of entries bounded by
+    # |p - m|, |c - m| (both at most sqrt(r2)) and |m|
+    r2 = float(spread.max())
+    near = 8.0 * s * np.finfo(np.float64).eps * (2.0 * r2 + np.sqrt(r2) * float(np.linalg.norm(mean)))
+
+    def dists(i: int) -> np.ndarray:
+        offset = points[i] - mean
+        out = points @ (-2.0 * offset)
+        out += spread + (spread[i] + 2.0 * float(offset @ mean))
+        redo = np.flatnonzero(out <= near)
+        out[redo] = _sq_dists(points[redo], points[i])
+        return out
+
+    return dists
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None = None) -> np.ndarray:

@@ -8,6 +8,7 @@ every downstream consumer works on dense feature rows.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ _SYNTH_KINDS = ("ring", "parabolic", "zigzag")
 
 # LIBSVM text is converted one block of about this many characters at a time,
 # so a block's token lists, not the whole text's, sit beside the rows read
-_BLOCK_CHARS = 1 << 18
+_BLOCK_CHARS = 1 << 17
 
 # every byte but the space and the colon, deleted to leave the order in which
 # those two occur
@@ -88,7 +89,9 @@ class Dataset:
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM text into a Dataset.
 
-    The text is read in blocks of about 256 KB, each cut just after a newline.
+    The text is read in blocks of about 128 KB, each cut just after a newline;
+    a path or file object is read one block at a time, so only a str or
+    bytes source is held whole.
     A block is converted by a few whole-block string and numpy operations;
     only when one of them fails does the line-by-line check run over the
     block, to name the first bad line.  Dense and sparse rows take the same
@@ -105,21 +108,21 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
             for the line whose index makes the dense point matrix larger than
             the machine's memory.
     """
-    text = _read_text(source)
     label_blocks, row_blocks = [], []
     n = max_index = lines_before = 0
-    for block in _blocks(text):
-        lines = block.splitlines()
-        try:
-            labels, rows = _convert_block(lines, n, max_index)
-        except (ValueError, OverflowError):
-            _check_lines(lines, lines_before, n, max_index)
-            raise
-        label_blocks.append(labels)
-        row_blocks.append(rows)
-        n += rows.shape[0]
-        max_index = max(max_index, rows.shape[1])
-        lines_before += len(lines)
+    with _opened(source) as text:
+        for block in _blocks(text):
+            lines = block.splitlines()
+            try:
+                labels, rows = _convert_block(lines, n, max_index)
+            except (ValueError, OverflowError):
+                _check_lines(lines, lines_before, n, max_index)
+                raise
+            label_blocks.append(labels)
+            row_blocks.append(rows)
+            n += rows.shape[0]
+            max_index = max(max_index, rows.shape[1])
+            lines_before += len(lines)
     if not n:
         raise ParseError(0, "no data lines")
     width = num_features if num_features is not None else max_index
@@ -209,13 +212,20 @@ def _triangle_wave(x: np.ndarray) -> np.ndarray:
     return 0.5 - np.abs(np.mod(x, 1.0) - 0.5)
 
 
-def _blocks(text: str):
-    """Yield text in pieces of about _BLOCK_CHARS characters, each cut just after a newline."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _blocks(text):
+    """Yield a str or a file's text in pieces of about _BLOCK_CHARS characters,
+    each cut just after a newline.  A file object is read one piece at a time;
+    bytes it returns are decoded as UTF-8, which a cut at a newline cannot split."""
+    if isinstance(text, str):
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+            yield text[start:end]
+            start = end
+        return
+    while block := text.read(_BLOCK_CHARS):
+        block += text.readline()
+        yield block.decode("utf-8") if isinstance(block, bytes) else block
 
 
 def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,28 +238,30 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[
     """
     parts = [p for p in map(str.split, lines) if p]
     labels = _int64s(_label, [p[0] for p in parts])
-    counts = np.fromiter(map(len, parts), np.int64, len(parts)) - 1
-    tokens = [t for p in parts for t in p[1:]]
-    feats = " ".join(tokens)
+    n_rows = len(parts)
+    counts = np.fromiter(map(len, parts), np.int64, n_rows) - 1
+    n_tokens = int(counts.sum())
+    feats = " ".join([t for p in parts for t in p[1:]])
+    del parts  # the token strings go before the pieces are made
     pieces = feats.replace(":", " ").split()
     # spaces and colons alternate, colon first, when each token has one colon
     # (non-ASCII characters become "?" and are deleted with the rest); twice
     # as many pieces as tokens then means each colon has text on both sides
     colons = feats.encode("ascii", "replace").translate(None, _NOT_SPACE_OR_COLON)
-    if colons != (b": " * len(tokens))[:-1] or len(pieces) != 2 * len(tokens):
+    if colons != (b": " * n_tokens)[:-1] or len(pieces) != 2 * n_tokens:
         raise ValueError("a feature token is not index:value")
     idx = _int64s(int, pieces[0::2])
-    vals = np.fromiter(map(float, pieces[1::2]), np.float64, len(tokens))
+    vals = np.fromiter(map(float, pieces[1::2]), np.float64, n_tokens)
     # each index must exceed the one before it in its row, the first one 0
     prev = np.zeros_like(idx)
     prev[1:] = idx[:-1]
     prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
     width = int(idx.max(initial=0))
     if not (np.all(idx > prev) and np.all(np.isfinite(vals))
-            and _fits_in_memory(rows_before + len(parts), max(max_index, width))):
+            and _fits_in_memory(rows_before + n_rows, max(max_index, width))):
         raise ValueError("an index or value breaks a rule")
-    rows = np.zeros((len(parts), width))
-    rows[np.repeat(np.arange(len(parts)), counts), idx - 1] = vals
+    rows = np.zeros((n_rows, width))
+    rows[np.repeat(np.arange(n_rows), counts), idx - 1] = vals
     return labels, rows
 
 
@@ -324,19 +336,16 @@ def _fits_in_memory(rows: int, width: int) -> bool:
     return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _read_text(source) -> str:
+def _opened(source):
+    """A context giving the source as a str (str and bytes sources) or as a
+    file object (paths and file objects); a path's file is closed on exit."""
     if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
+        return contextlib.nullcontext(source.decode("utf-8"))
+    if isinstance(source, str) and ("\n" in source or not os.path.isfile(source)):
         # a string is raw content unless it points at an existing file
-        if "\n" not in source and os.path.isfile(source):
-            with open(source, "r", encoding="utf-8") as f:
-                return f.read()
-        return source
-    if isinstance(source, os.PathLike):
-        with open(source, "r", encoding="utf-8") as f:
-            return f.read()
+        return contextlib.nullcontext(source)
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "r", encoding="utf-8")
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return contextlib.nullcontext(source)
     raise TypeError(f"unsupported source type {type(source)!r}")

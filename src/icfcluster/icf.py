@@ -110,6 +110,11 @@ class IcfFactor:
     def s(self) -> int:
         return self.P.shape[1]
 
+    @property
+    def nu(self) -> np.ndarray:
+        """Each step's nu = sqrt(K[t, t] - u.u), read from P[pivots[j], j]."""
+        return self.P[self.pivots, np.arange(self.s)]
+
 
 def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: float = 1e-3) -> IcfFactor:
     """Run the pivoted incomplete Cholesky loop.

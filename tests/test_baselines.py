@@ -163,6 +163,13 @@ class TestRestrictedKernelKmeans:
         b = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=seed)
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
+    def test_objective_history_includes_the_residual(self):
+        # the residual moves no assignment but is part of every objective
+        ds = rand_dataset(21, 40, 3)
+        model = approx_kkmeans(ds, GAUSS, subset_size=12, k=3, seed=0)
+        assert model.objective_history.shape == (model.iterations,)
+        assert model.objective_history[-1] == pytest.approx(model.objective, rel=1e-9)
+
     def test_identical_points_single_cluster(self):
         ds = Dataset(np.zeros((3, 2)))
         model = approx_kkmeans(ds, GAUSS, subset_size=2, k=1, seed=0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from icfcluster import (
+    ClusterModel,
     Dataset,
     KernelSpec,
     accuracy,
@@ -18,6 +19,7 @@ from icfcluster import (
     lloyd,
     psd_embedding,
 )
+from icfcluster.cluster import _add_moves, _one_hot, _repair_empty, _sq_dists
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -55,6 +57,15 @@ class TestKmeansPlusPlus:
         centers = kmeans_pp_init(pts, 3, seed=0)
         assert centers.shape == (3, 2)
         assert np.array_equal(centers, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicates_of_chosen_centers_score_exactly_zero(self, seed):
+        # with more centers than distinct points the draws after the last
+        # distinct one fall back to uniform; rounding noise in the distances
+        # of duplicates would make them weighted draws of other indices
+        rng = np.random.default_rng(5)
+        pts = np.repeat(rng.normal(size=(5, 20)) * 3.0 + 7.0, 4, axis=0)
+        assert np.array_equal(kmeans_pp_init(pts, 8, seed), oracle_kmeans_pp(pts, 8, seed))
 
     def test_k_out_of_range(self):
         pts = rand_points(0, 4, 2)
@@ -161,6 +172,15 @@ class TestLloyd:
         with pytest.raises(ValueError):
             lloyd(pts, 2, seed=0, max_iter=0)
 
+    def test_history_defaults_to_empty_and_is_read_only(self):
+        model = ClusterModel([0, 1], [[0.0], [1.0]], 0.0, 1, True)
+        assert model.objective_history.shape == model.moved_history.shape == (0,)
+        fitted = lloyd(rand_points(8, 30, 2), 3, seed=0)
+        with pytest.raises(ValueError):
+            fitted.objective_history[0] = 0.0
+        with pytest.raises(ValueError):
+            fitted.moved_history[0] = 0
+
     def test_model_fields(self):
         pts = rand_points(8, 30, 2)
         model = lloyd(pts, 3, seed=0)
@@ -229,6 +249,29 @@ class TestLloydProperties:
                     members = pts[model.assignments == j]
                     np.testing.assert_allclose(model.centers[j], members.mean(axis=0), rtol=1e-12, atol=1e-14 * scale)
 
+    def test_history_follows_the_capped_runs(self, case):
+        # a run capped at t iterations is the first t iterations of the full
+        # run, so its history is a prefix of the full one, its last moved
+        # count is the number of points the last iteration moved, and its
+        # last tol objective is the objective of the state it returns
+        pts, k = PROPERTY_CASES[case]
+        slack = 1e-12 * float(np.mean(np.sum(pts ** 2, axis=1)))
+        for seed in PROPERTY_SEEDS:
+            full = lloyd(pts, k, seed)
+            assert full.objective_history.shape == full.moved_history.shape == (full.iterations,)
+            assert full.moved_history[0] == len(pts)
+            assert np.all(full.moved_history[1:] >= 1)
+            before = None
+            for t in range(1, full.iterations + 1):
+                capped = lloyd(pts, k, seed, max_iter=t)
+                assert np.array_equal(capped.objective_history, full.objective_history[:t])
+                assert np.array_equal(capped.moved_history, full.moved_history[:t])
+                assert capped.objective_history[-1] == pytest.approx(capped.objective, rel=1e-9, abs=slack)
+                if before is not None:
+                    moved = np.count_nonzero(capped.assignments != before.assignments)
+                    assert capped.moved_history[-1] == moved
+                before = capped
+
     def test_memory_layout_does_not_change_the_result(self, case):
         pts, k = PROPERTY_CASES[case]
         c_order, f_order = np.ascontiguousarray(pts), np.asfortranarray(pts)
@@ -242,16 +285,135 @@ class TestLloydProperties:
 
 
 def test_lloyd_reads_a_column_major_factor_in_place():
-    # a factor's P is column-major; Lloyd on it must allocate less than one
-    # more n x s array (a layout copy of P alone would be P.nbytes)
+    # a factor's P is column-major; Lloyd and its seeding must each allocate
+    # less than one more n x s array (a layout copy of P alone would be P.nbytes)
     P = np.asfortranarray(rand_points(9, 10_000, 100))
+    for run in (lambda: lloyd(P, 10, seed=0, max_iter=5), lambda: kmeans_pp_init(P, 10, seed=0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P.nbytes
+
+
+def test_moving_every_point_gathers_one_block_at_a_time():
+    # the center-sum update gathers the moved rows of P; in the first
+    # iterations most points can move, so it must not gather them all at once
+    P = np.asfortranarray(rand_points(10, 10_000, 100))
+    rng = np.random.default_rng(11)
+    old, new = rng.integers(0, 10, 10_000), rng.integers(0, 10, 10_000)
+    mean = P.mean(axis=0)
+    shift = np.zeros((10, 100))
     tracemalloc.start()
     try:
-        lloyd(P, 10, seed=0, max_iter=5)
+        _add_moves(shift, P, mean, np.arange(10_000), old, new)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < P.nbytes
+    assert peak < P.nbytes / 4
+    expected = (_one_hot(new, 10) - _one_hot(old, 10)) @ (P - mean)
+    np.testing.assert_allclose(shift, expected, rtol=1e-10, atol=1e-10 * float(np.abs(expected).max()))
+
+
+def oracle_kmeans_pp(points, k, seed):
+    """k-means++ by one difference pass per center, each distance summed directly."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = _sq_dists(points, points[chosen[0]])
+    for _ in range(1, k):
+        d2[chosen] = 0.0
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.choice(np.setdiff1d(np.arange(n), chosen)))
+        chosen.append(idx)
+        np.minimum(d2, _sq_dists(points, points[idx]), out=d2)
+    return points[chosen].copy()
+
+
+def oracle_lloyd(points, k, seed, max_iter=1000, tol=1e-6):
+    """Lloyd that rebuilds every center sum by a k x n one-hot product each
+    iteration, seeded by oracle_kmeans_pp; returns (assignments, iterations,
+    converged)."""
+    points = np.asfortranarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centers = oracle_kmeans_pp(points, k, seed)
+    mean = points.mean(axis=0)
+    spread = float(_sq_dists(points, mean).sum())
+    assign, prev_obj, converged, iterations = None, np.inf, False, 0
+    for _ in range(max_iter):
+        offsets = centers - mean
+        scores = (-2.0 * offsets) @ points.T
+        scores += (np.einsum("ij,ij->i", offsets, offsets) + 2.0 * (offsets @ mean))[:, None]
+        new_assign = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
+        if assign is not None and np.array_equal(new_assign, assign):
+            converged = True
+            break
+        assign = new_assign
+        counts = np.bincount(assign, minlength=k)
+        centers = (_one_hot(assign, k) @ points) / counts[:, None]
+        iterations += 1
+        obj = max(spread - float(counts @ _sq_dists(centers, mean)), 0.0) / n
+        if np.isfinite(prev_obj) and prev_obj - obj <= tol * prev_obj:
+            converged = True
+            break
+        prev_obj = obj
+    return assign, iterations, converged
+
+
+def _offset_cases():
+    """(points, k, seed): the translation and 1e8-offset inputs of TestLloyd."""
+    cases = [(rand_points(2, 2000, 2) + 1e5, 6, 0)]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(scale=3.0, size=(8, 5))
+        pts = means[rng.integers(0, 8, 2000)] + rng.normal(size=(2000, 5))
+        cases.append((pts + 1e8, 8, seed))
+    return cases
+
+
+ORACLE_CASES = [(pts, k, seed) for pts, k in PROPERTY_CASES for seed in PROPERTY_SEEDS] + _offset_cases()
+
+
+class TestAgainstTheDirectLoop:
+    """lloyd updates center sums from the moved points and seeds by one
+    matrix-vector product per center; the plain loop above must agree.
+
+    One named tie: with fewer distinct points than k some centers coincide,
+    and which of them a duplicate joins is decided by the centers' last bits,
+    which differ between the two loops' sums.  There both must fit every
+    point exactly, and the draws must still agree."""
+
+    def check(self, pts, k, seed):
+        assert np.array_equal(kmeans_pp_init(pts, k, seed), oracle_kmeans_pp(pts, k, seed))
+        model = lloyd(pts, k, seed)
+        assign, iterations, converged = oracle_lloyd(pts, k, seed)
+        if len(np.unique(pts, axis=0)) < k:
+            for labels in (model.assignments, assign):
+                members = [pts[labels == j] for j in range(k)]
+                assert all(np.array_equal(m, np.broadcast_to(m[0], m.shape)) for m in members)
+        else:
+            assert np.array_equal(model.assignments, assign)
+            assert model.iterations == iterations
+            assert model.converged == converged
+        scale = max(1.0, float(np.abs(pts).max()))
+        for j in range(k):
+            members = pts[model.assignments == j]
+            np.testing.assert_allclose(model.centers[j], members.mean(axis=0), rtol=1e-12, atol=1e-14 * scale)
+        return model
+
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+    def test_small_and_offset_inputs(self, case):
+        self.check(*ORACLE_CASES[case])
+
+    def test_a_large_factor_run_uncapped(self):
+        model = self.check(np.asfortranarray(rand_points(17, 10_000, 100)), 10, 3)
+        assert model.iterations > 10
 
 
 class TestFactoredKernelKmeans:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icfcluster import Dataset, ParseError, gen_synthetic, parse_libsvm, standardize, to_libsvm
+from icfcluster import Dataset, ParseError, data, gen_synthetic, parse_libsvm, standardize, to_libsvm
 
 
 # signed zeros, the smallest subnormal, extremes and integral floats
@@ -179,6 +179,20 @@ class TestParseLibsvm:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_peak_memory_of_an_open_file_stays_below_its_size(self, tmp_path):
+        # a file is read one block at a time, so its whole text is never held
+        rng = np.random.default_rng(8)
+        path = tmp_path / "points.libsvm"
+        path.write_text(to_libsvm(Dataset(rng.normal(size=(10_000, 16)), rng.integers(0, 10, 10_000))))
+        with open(path, encoding="utf-8") as f:
+            tracemalloc.start()
+            try:
+                parse_libsvm(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < os.path.getsize(path)
+
     def test_large_reference_file_when_present(self):
         path = os.environ.get("PENDIGITS_PATH", "")
         if not path or not os.path.isfile(path):
@@ -197,7 +211,7 @@ SEPARATORS = [" ", "\t", "  ", " \t "]
 
 @functools.lru_cache(maxsize=None)
 def varied_libsvm(seed: int, sparse: bool) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """A valid LIBSVM text of more than two of the reader's 256 KB blocks.
+    """A valid LIBSVM text of more than four of the reader's 128 KB blocks.
 
     Its layout varies line by line: line endings, separators, blank lines,
     `+1`/`01` indices, `2.0`/`+2` labels and, when sparse, omitted zeros and
@@ -253,6 +267,35 @@ def corrupt(tokens: list[str], kind: str) -> list[str]:
     }[kind]()
 
 
+def faulty_libsvm(sparse: bool, kind: str) -> tuple[str, int]:
+    """varied_libsvm(21)'s text with one fault of the given kind, and the
+    0-based number of the faulty line: a line with two features in the
+    text's second half, past the first block."""
+    lines, ends, _, _ = varied_libsvm(21, sparse)
+    rng = np.random.default_rng([22, sparse, FAULTS.index(kind)])
+    half = len(lines) // 2
+    at = half + int(rng.choice([i for i, line in enumerate(lines[half:]) if len(line.split()) >= 3]))
+    bad = lines.copy()
+    bad[at] = " ".join(corrupt(lines[at].split(), kind))
+    return "".join(line + end for line, end in zip(bad, ends)), at
+
+
+def as_file(text: str, form: str, tmp_path):
+    """text as a file parse_libsvm reads by blocks: an io.StringIO, an
+    io.BytesIO of its UTF-8, or the path of a file holding those bytes
+    (opened in text mode, so "\r\n" reads as "\n")."""
+    if form == "text file object":
+        return io.StringIO(text)
+    if form == "bytes file object":
+        return io.BytesIO(text.encode("utf-8"))
+    path = tmp_path / "varied.libsvm"
+    path.write_bytes(text.encode("utf-8"))
+    return os.fspath(path)
+
+
+FILE_FORMS = ["text file object", "bytes file object", "path"]
+
+
 class TestParseAcrossBlocks:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_parses_bit_identically(self, sparse):
@@ -267,15 +310,41 @@ class TestParseAcrossBlocks:
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("kind", FAULTS)
     def test_fault_reports_its_absolute_line(self, sparse, kind):
-        lines, ends, _, _ = varied_libsvm(21, sparse)
-        rng = np.random.default_rng([22, sparse, FAULTS.index(kind)])
-        # a line with two features in the text's second half, past the first block
-        half = len(lines) // 2
-        at = half + int(rng.choice([i for i, line in enumerate(lines[half:]) if len(line.split()) >= 3]))
-        bad = lines.copy()
-        bad[at] = " ".join(corrupt(lines[at].split(), kind))
+        text, at = faulty_libsvm(sparse, kind)
         with pytest.raises(ParseError) as exc:
-            parse_libsvm("".join(line + end for line, end in zip(bad, ends)))
+            parse_libsvm(text)
+        assert exc.value.line_no == at + 1
+
+
+class TestParseFilesByBlocks:
+    """A path or file object is read one block at a time, not held whole."""
+
+    @pytest.mark.parametrize("form", FILE_FORMS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_parses_bit_identically(self, sparse, form, tmp_path):
+        lines, ends, points, labels = varied_libsvm(21, sparse)
+        ds = parse_libsvm(as_file("".join(line + end for line, end in zip(lines, ends)), form, tmp_path))
+        assert np.array_equal(bits(ds.points), bits(points))
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("form", FILE_FORMS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_blocks_are_cut_only_after_newlines(self, sparse, form, tmp_path, monkeypatch):
+        # blocks of 1,000 characters end inside a line, and often inside a
+        # "\r\n" pair or a multi-byte character; each must run to the newline
+        lines, ends, points, labels = varied_libsvm(21, sparse)
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 1_000)
+        ds = parse_libsvm(as_file("".join(line + end for line, end in zip(lines, ends)), form, tmp_path))
+        assert np.array_equal(bits(ds.points), bits(points))
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("form", FILE_FORMS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_fault_reports_its_absolute_line(self, sparse, kind, form, tmp_path):
+        text, at = faulty_libsvm(sparse, kind)
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(as_file(text, form, tmp_path))
         assert exc.value.line_no == at + 1
 
 

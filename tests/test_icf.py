@@ -302,6 +302,18 @@ class TestInvariants:
         err = np.max(np.abs(reconstruct(f, guard=100)[f.pivots] - K[f.pivots]), initial=0.0)
         assert err <= 1e-12 * np.max(np.abs(K))
 
+    @pytest.mark.parametrize("ds,spec,max_rank", CASES)
+    def test_nu_is_each_steps_fresh_pivot_height(self, ds, spec, max_rank):
+        # step j with pivot t had u = P[t, :j] and nu = sqrt(K[t, t] - u.u);
+        # both sides round the same s-term dot product against K[t, t]
+        f = icf_factorize(ds, spec, max_rank=max_rank, epsilon=1e-300)
+        K = full_gram(spec, ds, guard=100)
+        expected_sq = np.array([K[t, t] - f.P[t, :j] @ f.P[t, :j] for j, t in enumerate(f.pivots)])
+        assert f.nu.shape == (f.s,)
+        assert np.all(f.nu > 0.0)
+        slack = 4 * (f.s + 1) * np.finfo(float).eps * K.diagonal()[f.pivots]
+        assert np.all(np.abs(f.nu ** 2 - expected_sq) <= slack)
+
     def test_duplicated_points_stop_at_unique_rank(self):
         ds, spec, max_rank = self.CASES[3]
         f = icf_factorize(ds, spec, max_rank=max_rank, epsilon=1e-300)
