@@ -43,7 +43,7 @@ def cmd_synth(args) -> int:
 def cmd_factorize(args) -> int:
     dataset = _load_dataset(args)
     spec = KernelSpec("gaussian", args.sigma)
-    factor = icf_factorize(dataset, spec, max_rank=args.subset_size, epsilon=args.epsilon)
+    factor = icf_factorize(dataset, spec, max_rank=int(args.subset_size), epsilon=args.epsilon)
     evals_bound = dataset.n * (factor.s + 1)
     if factor.kernel_evals > evals_bound:
         raise RuntimeError(
@@ -59,7 +59,7 @@ def cmd_cluster(args) -> int:
     dataset = _load_dataset(args)
     spec = KernelSpec("gaussian", args.sigma)
     t0 = time.perf_counter()
-    factor = icf_factorize(dataset, spec, max_rank=args.subset_size, epsilon=args.epsilon)
+    factor = icf_factorize(dataset, spec, max_rank=int(args.subset_size), epsilon=args.epsilon)
     t1 = time.perf_counter()
     model = lloyd(factor.P, args.clusters, args.seed, max_iter=args.max_iter)
     t2 = time.perf_counter()
@@ -174,9 +174,6 @@ def _load_dataset(args):
             dataset = parse_libsvm(f, name=os.path.basename(spec))
     if args.standardize:
         dataset = standardize(dataset)
-    if args.func is not cmd_bench:
-        # only bench takes a comma-separated size list
-        args.subset_size = int(args.subset_size)
     return dataset
 
 

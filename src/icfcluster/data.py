@@ -92,10 +92,11 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
     The text is read in blocks of about 128 KB, each cut just after a newline;
     a path or file object is read one block at a time, so only a str or
     bytes source is held whole.
-    A block is converted by a few whole-block string and numpy operations;
-    only when one of them fails does the line-by-line check run over the
-    block, to name the first bad line.  Dense and sparse rows take the same
-    path, and indices and values keep Python's int and float syntax.
+    A block is converted by a few whole-block string and numpy operations.
+    When that conversion fails, the same conversion runs on the block's
+    lines one at a time, and the first line that fails alone is reported.
+    Dense and sparse rows take the same path, and indices and values keep
+    Python's int and float syntax.
 
     Args:
         source: str, bytes, file-like object, or path to a file.  Bytes are
@@ -104,25 +105,30 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
         name: dataset name to attach.
 
     Raises:
-        ParseError: on any malformed line, reporting its 1-based number; also
-            for the line whose index makes the dense point matrix larger than
-            the machine's memory.
+        ParseError: on any malformed line, reporting its 1-based number and
+            the rule it breaks; also for the line whose index makes the dense
+            point matrix larger than the machine's memory.
     """
     label_blocks, row_blocks = [], []
     n = max_index = lines_before = 0
     with _opened(source) as text:
         for block in _blocks(text):
-            lines = block.splitlines()
-            try:
-                labels, rows = _convert_block(lines, n, max_index)
-            except (ValueError, OverflowError):
-                _check_lines(lines, lines_before, n, max_index)
-                raise
-            label_blocks.append(labels)
-            row_blocks.append(rows)
-            n += rows.shape[0]
-            max_index = max(max_index, rows.shape[1])
-            lines_before += len(lines)
+            pending = [block.splitlines()]
+            while pending:
+                lines = pending.pop()
+                try:
+                    labels, rows = _convert_block(lines, n, max_index)
+                except ValueError as exc:
+                    if len(lines) == 1:
+                        raise ParseError(lines_before + 1, str(exc)) from None
+                    # every rule holds line by line, so some line fails alone
+                    pending.extend([line] for line in reversed(lines))
+                    continue
+                label_blocks.append(labels)
+                row_blocks.append(rows)
+                n += rows.shape[0]
+                max_index = max(max_index, rows.shape[1])
+                lines_before += len(lines)
     if not n:
         raise ParseError(0, "no data lines")
     width = num_features if num_features is not None else max_index
@@ -229,12 +235,13 @@ def _blocks(text):
 
 
 def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and dense rows of one block's lines, by whole-block operations.
+    """Labels and dense rows of lines, by whole-block string and numpy operations.
 
-    Checks the rules that _check_lines states, on all lines at once, and
-    raises ValueError or OverflowError, naming no line, when any fails.
-    rows_before and max_index are the data lines and the largest index
-    before this block.
+    This is the one statement of the LIBSVM rules.  A line breaking one
+    raises a ValueError that names the rule and quotes the offending token,
+    or the two indices out of order, but not the line: parse_libsvm finds
+    that by converting lines one at a time.  rows_before and max_index are
+    the data lines and the largest index before lines[0].
     """
     parts = [p for p in map(str.split, lines) if p]
     labels = _int64s(_label, [p[0] for p in parts])
@@ -249,17 +256,35 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[
     # as many pieces as tokens then means each colon has text on both sides
     colons = feats.encode("ascii", "replace").translate(None, _NOT_SPACE_OR_COLON)
     if colons != (b": " * n_tokens)[:-1] or len(pieces) != 2 * n_tokens:
-        raise ValueError("a feature token is not index:value")
-    idx = _int64s(int, pieces[0::2])
-    vals = np.fromiter(map(float, pieces[1::2]), np.float64, n_tokens)
+        token = next(t for t in feats.split() if t.count(":") != 1 or t.strip(":") != t)
+        raise ValueError(f"expected index:value, got {token!r}")
+    index_tokens, value_tokens = pieces[0::2], pieces[1::2]
+    # an index below 1 breaks the order rule whatever its value, so it is read
+    # as 0; the largest is checked against memory before int64 must hold it
+    try:
+        index_of = {token: max(int(token), 0) for token in set(index_tokens)}
+    except ValueError:
+        raise ValueError(f"invalid index {_first_rejected(int, index_tokens)!r}") from None
+    try:
+        vals = np.fromiter(map(float, value_tokens), np.float64, n_tokens)
+    except ValueError:
+        raise ValueError(f"invalid value {_first_rejected(float, value_tokens)!r}") from None
+    width = max(index_of.values(), default=0)
+    total_rows, widest = rows_before + n_rows, max(max_index, width)
+    if not _fits_in_memory(total_rows, widest):
+        raise ValueError(f"index {widest} needs a dense {total_rows} x {widest} point matrix "
+                         f"of {total_rows * widest * 8 / 1e9:.3g} GB, more than this machine's memory")
+    idx = np.fromiter(map(index_of.__getitem__, index_tokens), np.int64, n_tokens)
     # each index must exceed the one before it in its row, the first one 0
     prev = np.zeros_like(idx)
     prev[1:] = idx[:-1]
     prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
-    width = int(idx.max(initial=0))
-    if not (np.all(idx > prev) and np.all(np.isfinite(vals))
-            and _fits_in_memory(rows_before + n_rows, max(max_index, width))):
-        raise ValueError("an index or value breaks a rule")
+    if not np.all(idx > prev):
+        at = np.flatnonzero(idx <= prev)[0]
+        raise ValueError("indices must be 1-based and strictly increasing, "
+                         f"got {int(index_tokens[at])} after {prev[at]}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"non-finite value {value_tokens[np.flatnonzero(~np.isfinite(vals))[0]]!r}")
     rows = np.zeros((n_rows, width))
     rows[np.repeat(np.arange(n_rows), counts), idx - 1] = vals
     return labels, rows
@@ -268,48 +293,20 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[
 def _int64s(convert, tokens: list[str]) -> np.ndarray:
     """convert applied to each token, as int64, calling it once per distinct token.
 
-    Labels and indices repeat from line to line, so this is a few calls per
-    block where a call per token would be one per value read.
+    Labels repeat from line to line, so this is a few calls per block where
+    a call per token would be one per line read.
     """
     table = {token: convert(token) for token in set(tokens)}
     return np.fromiter(map(table.__getitem__, tokens), np.int64, len(tokens))
 
 
-def _check_lines(lines: list[str], lines_before: int, rows: int, max_index: int) -> None:
-    """Raise the ParseError of the first line that breaks a rule of the format.
-
-    These are the LIBSVM rules, one line at a time.  lines_before, rows and
-    max_index are the lines, the data lines and the largest index before
-    lines[0].
-    """
-    for line_no, line in enumerate(lines, start=lines_before + 1):
-        parts = line.split()
-        if not parts:
-            continue
+def _first_rejected(convert, tokens: list[str]) -> str:
+    """The first of tokens for which convert raises ValueError."""
+    for token in tokens:
         try:
-            _label(parts[0])
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        prev = 0
-        for tok in parts[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(line_no, f"expected index:value, got {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(line_no, f"invalid index:value pair {tok!r}") from None
-            if idx <= prev:
-                raise ParseError(line_no, f"indices must be 1-based and strictly increasing, got {idx} after {prev}")
-            if not np.isfinite(val):
-                raise ParseError(line_no, f"non-finite value {val_s!r}")
-            prev = idx
-        rows += 1
-        max_index = max(max_index, prev)
-        if not _fits_in_memory(rows, max_index):
-            raise ParseError(line_no, f"index {max_index} needs a dense {rows} x {max_index} point matrix "
-                                      f"of {rows * max_index * 8 / 1e9:.3g} GB, more than this machine's memory")
+            convert(token)
+        except ValueError:
+            return token
 
 
 def _label(token: str) -> int:
@@ -325,9 +322,9 @@ def _label(token: str) -> int:
             raise ValueError(f"label {token!r} is not an integer") from None
         label = int(as_float)
     if label < 0:
-        raise ValueError(f"label {label} is negative")
+        raise ValueError(f"label {token!r} is negative")
     if label > _INT64_MAX:
-        raise ValueError(f"label {label} does not fit in 64 bits")
+        raise ValueError(f"label {token!r} does not fit in 64 bits")
     return label
 
 

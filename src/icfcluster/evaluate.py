@@ -201,7 +201,6 @@ class BenchmarkConfig:
     epsilon: float = 1e-3
     max_iter: int = 1000
     guard: int = DEFAULT_GUARD
-    warmup: bool = True
 
 
 @dataclass
@@ -256,8 +255,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     for dataset in config.datasets:
         spec = KernelSpec("gaussian", _per_dataset(config.sigma, dataset.name))
         k = _per_dataset(config.clusters, dataset.name)
-        if config.warmup:
-            _warmup(dataset, spec)
+        _warmup(dataset, spec)
         for algorithm in config.algorithms:
             for subset_size in config.subset_sizes:
                 for seed in range(config.num_seeds):

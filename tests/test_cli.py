@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import os
 import subprocess
 import sys
 
@@ -44,6 +45,15 @@ class TestSynth:
         code, _, stderr = run_cli(capsys, "synth", "ring", "5", "0.0", "0", str(out))
         assert code == 1
         assert "error:" in stderr
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", replace)
+        code, _, stderr = run_cli(capsys, "synth", "ring", "5", "0.0", "0", str(tmp_path / "x.libsvm"))
+        assert code == 1
+        assert stderr == "error: disk full\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestFactorize:
@@ -180,6 +190,13 @@ class TestErrorPaths:
         code, _, stderr = run_cli(capsys, "cluster", str(path), "--sigma", "1")
         assert code == 1
         assert stderr.startswith("error: line 2: index 1000000000000000 needs a dense 2 x 1000000000000000")
+
+    @pytest.mark.parametrize("command", ["factorize", "cluster"])
+    def test_subset_size_not_an_integer(self, capsys, command):
+        code, _, stderr = run_cli(
+            capsys, command, "synth:ring:5:0.0:0", "--sigma", "1", "--subset-size", "abc")
+        assert code == 1
+        assert stderr == "error: invalid literal for int() with base 10: 'abc'\n"
 
     def test_subset_size_beyond_n(self, capsys):
         code, _, stderr = run_cli(

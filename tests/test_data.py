@@ -151,6 +151,28 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("\n\n")
 
+    def test_label_only_lines_need_num_features(self):
+        with pytest.raises(ParseError, match="no feature indices present"):
+            parse_libsvm("1\n2\n")
+        ds = parse_libsvm("1\n2\n", num_features=2)
+        assert np.array_equal(bits(ds.points), bits(np.zeros((2, 2))))
+        assert np.array_equal(ds.labels, [1, 2])
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 1:1\nx 1:1", "line 2: invalid label 'x'"),
+        ("1 1:1 2:", "line 1: expected index:value, got '2:'"),
+        ("1 1:1 b:2 a:3", "line 1: invalid index 'b'"),
+        ("1 1:1 2:x 3:y", "line 1: invalid value 'x'"),
+        ("1 3:1 2:1", "line 1: indices must be 1-based and strictly increasing, got 2 after 3"),
+        (f"1 -{10 ** 30}:1", f"line 1: indices must be 1-based and strictly increasing, got -{10 ** 30} after 0"),
+        ("1 1:1 2:-inf", "line 1: non-finite value '-inf'"),
+        (f"1 1:1\n1 {10 ** 30}:1", f"line 2: index {10 ** 30} needs a dense 2 x {10 ** 30} point matrix"),
+    ])
+    def test_each_rule_has_its_own_message(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(text)
+        assert str(exc.value).startswith(message)
+
     def test_index_too_large_for_memory_names_its_line(self):
         # 10**30 does not fit in int64, 10**15 does; either makes a dense
         # matrix of petabytes, refused before anything is allocated
@@ -160,6 +182,16 @@ class TestParseLibsvm:
             assert exc.value.line_no == 3
             assert f"index {idx}" in str(exc.value)
             assert f"2 x {idx}" in str(exc.value)
+
+    @pytest.mark.parametrize("block_chars", [1, data._BLOCK_CHARS])
+    def test_memory_rule_counts_the_widest_index_before(self, block_chars, monkeypatch):
+        # a narrow line after a wide one adds a row as wide as the wide one,
+        # whether the two lines share a block or not
+        monkeypatch.setattr(data, "_fits_in_memory", lambda rows, width: rows * width <= 4)
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("1 3:1\n1 1:1\n")
+        assert str(exc.value).startswith("line 2: index 3 needs a dense 2 x 3 point matrix")
 
     def test_label_beyond_int64_rejected(self):
         with pytest.raises(ParseError) as exc:
@@ -314,6 +346,25 @@ class TestParseAcrossBlocks:
         with pytest.raises(ParseError) as exc:
             parse_libsvm(text)
         assert exc.value.line_no == at + 1
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_fault_message_quotes_its_token(self, sparse, kind):
+        text, at = faulty_libsvm(sparse, kind)
+        label, first, second = text.splitlines()[at].split()[:3]
+        index = [int(token.split(":")[0]) for token in (first, second) if ":" in token]
+        quoted = {
+            "no colon": repr(first),
+            "two colons": repr(first),
+            "index 0": "got 0 after 0",
+            "repeated index": f"got {index[-1]} after {index[0]}",
+            "decreasing": f"got {index[-1]} after {index[0]}",
+            "inf": "'inf'",
+            "nan": "'nan'",
+        }.get(kind, repr(label))
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(text)
+        assert quoted in str(exc.value)
 
 
 class TestParseFilesByBlocks:

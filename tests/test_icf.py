@@ -19,6 +19,7 @@ from icfcluster import (
     reconstruct,
     residual_trace,
 )
+from icfcluster import icf
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -207,6 +208,15 @@ class TestStoppingRules:
             icf_step(f, ds, LINEAR)
         assert info.value.iteration == 5
         assert abs(info.value.value) < 1e-10
+
+    def test_indefinite_update_raises_breakdown(self, monkeypatch):
+        # K = [[1, 2], [2, 1]] is indefinite: the first step leaves 1 - 2^2 = -3
+        # on the diagonal, far below the rounding clamp
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(icf, "kernel_column", lambda spec, dataset, t: K[:, t].copy())
+        with pytest.raises(BreakdownError) as info:
+            icf_factorize(rand_dataset(0, 2, 1), GAUSS, max_rank=2, epsilon=1e-300)
+        assert (info.value.iteration, info.value.value) == (0, -3.0)
 
     def test_full_rank_gaussian_runs_to_n(self):
         ds = rand_dataset(0, 50, 4)
@@ -455,6 +465,16 @@ class TestDumpAndParse:
             parse_factor_dump("ICF 2 1\n0\ninf\n2.0\n3.0 1.0\n")
         with pytest.raises(ValueError, match="trace history"):
             parse_factor_dump("ICF 2 1\n0\n1.0\n2.0\n3.0 nan\n")
+
+    def test_parse_names_a_value_that_is_not_a_number(self):
+        with pytest.raises(ValueError, match="row 0 of P: could not convert"):
+            parse_factor_dump("ICF 2 1\n0\n1.0x\n2.0\n3.0 1.0\n")
+        with pytest.raises(ValueError, match="trace history: could not convert"):
+            parse_factor_dump("ICF 2 1\n0\n1.0\n2.0\n3.0 one\n")
+
+    def test_parse_rejects_a_pivot_line_shorter_than_the_header(self):
+        with pytest.raises(ValueError, match="dump sections do not match header sizes"):
+            parse_factor_dump("ICF 2 2\n0\n1.0 0.0\n2.0 0.0\n3.0 1.0 0.5\n")
 
     def test_parse_rejects_data_after_the_history(self):
         text = dump_factor(icf_factorize(rand_dataset(2, 6, 2), GAUSS, max_rank=2, epsilon=1e-300))
