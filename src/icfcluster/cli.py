@@ -170,7 +170,7 @@ def _load_dataset(args):
     else:
         if not os.path.isfile(spec):
             raise ValueError(f"no such dataset file: {spec}")
-        with open(spec, "r", encoding="utf-8") as f:
+        with open(spec, "rb") as f:
             dataset = parse_libsvm(f, name=os.path.basename(spec))
     if args.standardize:
         dataset = standardize(dataset)

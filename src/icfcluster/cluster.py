@@ -135,7 +135,7 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     for _ in range(max_iter):
         scores = (-2.0 * offsets) @ points.T
         scores += (norms + 2.0 * (offsets @ mean))[:, None]
-        new_assign = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
+        new_assign = _repair_empty(points, centers, _lowest_rows(scores), k)
         counts = np.bincount(new_assign, minlength=k)
         if assign is None:
             moved = n
@@ -203,6 +203,21 @@ def _clamped_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, U = np.linalg.eigh(K)
     w[w <= EIG_CLAMP * max(float(w[-1]), 0.0)] = 0.0
     return w, U
+
+
+def _lowest_rows(scores: np.ndarray) -> np.ndarray:
+    """np.argmin(scores, axis=0) for a C-order k x n array, by one min over
+    the rows and k row-wise equality passes, which run faster.
+
+    The passes go from the last row to the first, so the lowest row wins a
+    tie, as in argmin.  A column no row equals the minimum of (one holding a
+    NaN) keeps 0, so every id lies in [0, k).
+    """
+    lowest = scores.min(axis=0)
+    out = np.zeros(scores.shape[1], dtype=np.intp)
+    for j in range(scores.shape[0] - 1, -1, -1):
+        np.putmask(out, scores[j] == lowest, j)
+    return out
 
 
 def _one_hot(assign: np.ndarray, k: int) -> np.ndarray:

@@ -99,25 +99,33 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
     Python's int and float syntax.
 
     Args:
-        source: str, bytes, file-like object, or path to a file.  Bytes are
-            decoded as UTF-8; both LF and CRLF line endings are accepted.
-        num_features: optional fixed width; defaults to the largest index seen.
+        source: str, bytes, file-like object, or path to a file.  Bytes, and
+            the bytes of a path or a binary file, are decoded as UTF-8 one
+            block at a time; both LF and CRLF line endings are accepted.
+        num_features: optional fixed width, at least 1; defaults to the
+            largest index seen.
         name: dataset name to attach.
 
     Raises:
         ParseError: on any malformed line, reporting its 1-based number and
-            the rule it breaks; also for the line whose index makes the dense
+            the rule it breaks; also for a byte that is not UTF-8, for an
+            index above num_features, and for the line that makes the dense
             point matrix larger than the machine's memory.
+        ValueError: for num_features below 1.
     """
+    if num_features is not None and num_features < 1:
+        raise ValueError(f"num_features must be at least 1, got {num_features}")
     label_blocks, row_blocks = [], []
     n = max_index = lines_before = 0
     with _opened(source) as text:
         for block in _blocks(text):
+            if isinstance(block, bytes):
+                block = _decoded(block, lines_before)
             pending = [block.splitlines()]
             while pending:
                 lines = pending.pop()
                 try:
-                    labels, rows = _convert_block(lines, n, max_index)
+                    labels, rows = _convert_block(lines, n, max_index, num_features)
                 except ValueError as exc:
                     if len(lines) == 1:
                         raise ParseError(lines_before + 1, str(exc)) from None
@@ -131,11 +139,9 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
                 lines_before += len(lines)
     if not n:
         raise ParseError(0, "no data lines")
-    width = num_features if num_features is not None else max_index
+    width = num_features or max_index
     if width < 1:
         raise ParseError(0, "no feature indices present and num_features not given")
-    if max_index > width:
-        raise ValueError(f"index {max_index} exceeds num_features={width}")
     points = np.zeros((n, width))
     start = 0
     for rows in row_blocks:
@@ -219,9 +225,10 @@ def _triangle_wave(x: np.ndarray) -> np.ndarray:
 
 
 def _blocks(text):
-    """Yield a str or a file's text in pieces of about _BLOCK_CHARS characters,
-    each cut just after a newline.  A file object is read one piece at a time;
-    bytes it returns are decoded as UTF-8, which a cut at a newline cannot split."""
+    """Yield a str or a file's contents in pieces of about _BLOCK_CHARS
+    characters or bytes, each cut just after a newline.  A file object is read
+    one piece at a time; a binary file's pieces are bytes, which a cut at a
+    newline leaves whole UTF-8."""
     if isinstance(text, str):
         start = 0
         while start < len(text):
@@ -230,18 +237,33 @@ def _blocks(text):
             start = end
         return
     while block := text.read(_BLOCK_CHARS):
-        block += text.readline()
-        yield block.decode("utf-8") if isinstance(block, bytes) else block
+        yield block + text.readline()
 
 
-def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[np.ndarray, np.ndarray]:
+def _decoded(block: bytes, lines_before: int) -> str:
+    """block decoded as UTF-8; a byte that is not UTF-8 raises a ParseError
+    naming its line, counting lines_before lines ahead of the block."""
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; with a character that is not a
+        # line break put in its place, their last line is the bad byte's
+        head = block[:exc.start].decode("utf-8") + "?"
+        raise ParseError(lines_before + len(head.splitlines()),
+                         f"byte {block[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+
+
+def _convert_block(lines: list[str], rows_before: int, max_index: int,
+                   num_features: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Labels and dense rows of lines, by whole-block string and numpy operations.
 
     This is the one statement of the LIBSVM rules.  A line breaking one
     raises a ValueError that names the rule and quotes the offending token,
     or the two indices out of order, but not the line: parse_libsvm finds
     that by converting lines one at a time.  rows_before and max_index are
-    the data lines and the largest index before lines[0].
+    the data lines and the largest index before lines[0]; num_features, when
+    given, is the width every index must stay within and the width of the
+    dense matrix.
     """
     parts = [p for p in map(str.split, lines) if p]
     labels = _int64s(_label, [p[0] for p in parts])
@@ -270,9 +292,12 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int) -> tuple[
     except ValueError:
         raise ValueError(f"invalid value {_first_rejected(float, value_tokens)!r}") from None
     width = max(index_of.values(), default=0)
-    total_rows, widest = rows_before + n_rows, max(max_index, width)
+    if num_features and width > num_features:
+        raise ValueError(f"index {width} exceeds num_features={num_features}")
+    total_rows, widest = rows_before + n_rows, num_features or max(max_index, width)
     if not _fits_in_memory(total_rows, widest):
-        raise ValueError(f"index {widest} needs a dense {total_rows} x {widest} point matrix "
+        cause = f"num_features={widest}" if num_features else f"index {widest}"
+        raise ValueError(f"{cause} needs a dense {total_rows} x {widest} point matrix "
                          f"of {total_rows * widest * 8 / 1e9:.3g} GB, more than this machine's memory")
     idx = np.fromiter(map(index_of.__getitem__, index_tokens), np.int64, n_tokens)
     # each index must exceed the one before it in its row, the first one 0
@@ -337,12 +362,12 @@ def _opened(source):
     """A context giving the source as a str (str and bytes sources) or as a
     file object (paths and file objects); a path's file is closed on exit."""
     if isinstance(source, bytes):
-        return contextlib.nullcontext(source.decode("utf-8"))
+        return contextlib.nullcontext(_decoded(source, 0))
     if isinstance(source, str) and ("\n" in source or not os.path.isfile(source)):
         # a string is raw content unless it points at an existing file
         return contextlib.nullcontext(source)
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8")
+        return open(source, "rb")
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         return contextlib.nullcontext(source)
     raise TypeError(f"unsupported source type {type(source)!r}")

@@ -10,7 +10,9 @@ a-priori limit 2 sqrt(k) tr(K - P P^T) / n.  fit_decay checks how close a
 residual-trace history is to exponential.
 
 run_benchmark times every (dataset, algorithm, subset_size, seed) cell with
-separate factorization and clustering stages and renders rows as CSV.
+separate factorization and clustering stages and renders rows as CSV.  The
+embeddings that do not depend on the seed (icf, kernel, chol) are built once
+per (dataset, algorithm, subset_size) and clustered from every seed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ _EMBEDDINGS = {
 
 # these need the full n x n Gram matrix and are skipped beyond the guard
 _FULL_MATRIX = frozenset({"kernel", "chol"})
+
+# these embeddings ignore the seed, so one build serves every seed's Lloyd run
+_SEED_FREE = frozenset({"icf", "kernel", "chol"})
 
 CSV_HEADER = "dataset,algorithm,subset_size,seed,accuracy,objective,achieved_rank,factorize_ms,cluster_ms,total_ms"
 
@@ -247,6 +252,11 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     skipped (empty metrics) instead of failing the sweep.  All randomness is
     derived from the per-row seed, so metric columns are reproducible; only
     the timing columns vary between runs.
+
+    A seed-free embedding (_SEED_FREE) is built by seed 0's cell and reused
+    by the later seeds of its (algorithm, subset_size) group; each of those
+    rows reports the build's measured time as factorize_ms.  One shared
+    embedding is alive at a time: it is dropped when its group ends.
     """
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
@@ -258,18 +268,28 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         _warmup(dataset, spec)
         for algorithm in config.algorithms:
             for subset_size in config.subset_sizes:
+                shared = None
                 for seed in range(config.num_seeds):
                     row = BenchmarkRow(dataset.name, algorithm, subset_size, seed)
                     if algorithm in _FULL_MATRIX and dataset.n > config.guard:
                         row.skipped = True
                     else:
-                        _run_cell(row, dataset, spec, algorithm, subset_size, k, config)
+                        shared = _run_cell(row, dataset, spec, algorithm, subset_size, k, config, shared)
                     report.rows.append(row)
     return report
 
 
 def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, algorithm: str,
-              subset_size: int, k: int, config: BenchmarkConfig) -> None:
+              subset_size: int, k: int, config: BenchmarkConfig,
+              shared: tuple[np.ndarray, float] | None) -> tuple[np.ndarray, float] | None:
+    """Fill row with one seed's clustering of its cell.
+
+    shared is a seed-free embedding and its build time in ms, as returned by
+    the group's previous cell; without it the embedding is built and timed
+    here.  A seed-free embedding is stored column-major and read-only, the
+    layout lloyd reads in place, and returned with its build time for the
+    next seed; other algorithms return None.
+    """
     seed = row.seed
     t0 = time.perf_counter()
     if algorithm == "approx":
@@ -278,7 +298,14 @@ def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, algorithm: 
         t1 = time.perf_counter()
         model = _approx_solve(dataset, spec, K_MB, W, k, seed, config.max_iter, 1e-6)
     else:
-        embed = _EMBEDDINGS[algorithm](dataset, spec, subset_size, seed, config)
+        if shared is None:
+            embed = _EMBEDDINGS[algorithm](dataset, spec, subset_size, seed, config)
+            if algorithm in _SEED_FREE:
+                embed = np.asfortranarray(embed)
+                embed.flags.writeable = False
+                shared = embed, (time.perf_counter() - t0) * 1e3
+        else:
+            embed = shared[0]
         rank = embed.shape[1]
         t1 = time.perf_counter()
         model = lloyd(embed, k, seed, max_iter=config.max_iter)
@@ -287,9 +314,10 @@ def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, algorithm: 
     row.achieved_rank = rank
     if dataset.labels is not None:
         row.accuracy = accuracy(model.assignments, dataset.labels)
-    row.factorize_ms = (t1 - t0) * 1e3
+    row.factorize_ms = shared[1] if shared else (t1 - t0) * 1e3
     row.cluster_ms = (t2 - t1) * 1e3
-    row.total_ms = (t2 - t0) * 1e3
+    row.total_ms = row.factorize_ms + row.cluster_ms
+    return shared
 
 
 def _warmup(dataset: Dataset, spec: KernelSpec) -> None:

@@ -191,6 +191,13 @@ class TestErrorPaths:
         assert code == 1
         assert stderr.startswith("error: line 2: index 1000000000000000 needs a dense 2 x 1000000000000000")
 
+    def test_byte_not_utf8_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.libsvm"
+        path.write_bytes(b"1 1:1\n\xff 1:1\n")
+        code, _, stderr = run_cli(capsys, "cluster", str(path), "--sigma", "1")
+        assert code == 1
+        assert stderr == "error: line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
     @pytest.mark.parametrize("command", ["factorize", "cluster"])
     def test_subset_size_not_an_integer(self, capsys, command):
         code, _, stderr = run_cli(

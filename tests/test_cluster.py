@@ -19,7 +19,7 @@ from icfcluster import (
     lloyd,
     psd_embedding,
 )
-from icfcluster.cluster import _add_moves, _one_hot, _repair_empty, _sq_dists
+from icfcluster.cluster import _add_moves, _lowest_rows, _one_hot, _repair_empty, _sq_dists
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -414,6 +414,33 @@ class TestAgainstTheDirectLoop:
     def test_a_large_factor_run_uncapped(self):
         model = self.check(np.asfortranarray(rand_points(17, 10_000, 100)), 10, 3)
         assert model.iterations > 10
+
+
+class TestLowestRows:
+    """lloyd's replacement for np.argmin(scores, axis=0)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 33])
+    def test_random_scores(self, k):
+        scores = np.random.default_rng(k).normal(size=(k, 5_000))
+        assert np.array_equal(_lowest_rows(scores), np.argmin(scores, axis=0))
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_exact_ties_go_to_the_lowest_row(self, k):
+        # few distinct values, so most columns hold the minimum more than once
+        rng = np.random.default_rng(k + 50)
+        scores = rng.integers(-2, 2, size=(k, 5_000)).astype(np.float64)
+        scores[:, :3] = 0.0
+        scores[-1, 3] = -0.0
+        got = _lowest_rows(scores)
+        assert np.array_equal(got, np.argmin(scores, axis=0))
+        assert got.dtype == np.argmin(scores, axis=0).dtype
+        assert np.all(got[:4] == 0)
+
+    def test_nan_columns_still_get_an_id(self):
+        scores = np.array([[1.0, np.nan, np.nan], [0.0, 2.0, np.nan], [3.0, 1.0, np.nan]])
+        got = _lowest_rows(scores)
+        assert got[0] == 1
+        assert np.all((got >= 0) & (got < 3))
 
 
 class TestFactoredKernelKmeans:

@@ -314,8 +314,7 @@ def faulty_libsvm(sparse: bool, kind: str) -> tuple[str, int]:
 
 def as_file(text: str, form: str, tmp_path):
     """text as a file parse_libsvm reads by blocks: an io.StringIO, an
-    io.BytesIO of its UTF-8, or the path of a file holding those bytes
-    (opened in text mode, so "\r\n" reads as "\n")."""
+    io.BytesIO of its UTF-8, or the path of a file holding those bytes."""
     if form == "text file object":
         return io.StringIO(text)
     if form == "bytes file object":
@@ -397,6 +396,106 @@ class TestParseFilesByBlocks:
         with pytest.raises(ParseError) as exc:
             parse_libsvm(as_file(text, form, tmp_path))
         assert exc.value.line_no == at + 1
+
+
+def with_wide_line(sparse: bool) -> tuple[str, int]:
+    """varied_libsvm(21)'s text with index d + 1 appended to one line in its
+    second half, and the 0-based number of that line."""
+    lines, ends, points, _ = varied_libsvm(21, sparse)
+    rng = np.random.default_rng([23, sparse])
+    half = len(lines) // 2
+    at = half + int(rng.choice([i for i, line in enumerate(lines[half:]) if line.strip()]))
+    wide = lines.copy()
+    wide[at] += f" {points.shape[1] + 1}:1.5"
+    return "".join(line + end for line, end in zip(wide, ends)), at
+
+
+def with_bad_byte(sparse: bool, byte: bytes) -> tuple[bytes, int]:
+    """varied_libsvm(21)'s UTF-8 with byte put inside one line in its second
+    half, and the 0-based number of that line.  Its line endings include
+    multi-byte ones (NEL, U+2028, U+2029)."""
+    lines, ends, _, _ = varied_libsvm(21, sparse)
+    rng = np.random.default_rng([24, sparse])
+    half = len(lines) // 2
+    at = half + int(rng.integers(len(lines) - half))
+    cut = int(rng.integers(len(lines[at]) + 1))
+    encoded = [line.encode("utf-8") for line in lines]
+    encoded[at] = encoded[at][:cut] + byte + encoded[at][cut:]
+    return b"".join(line + end.encode("utf-8") for line, end in zip(encoded, ends)), at
+
+
+def as_binary(raw: bytes, form: str, tmp_path):
+    """raw as bytes, as an io.BytesIO, or as the path of a file holding it."""
+    if form == "bytes":
+        return raw
+    if form == "bytes file object":
+        return io.BytesIO(raw)
+    path = tmp_path / "raw.libsvm"
+    path.write_bytes(raw)
+    return os.fspath(path)
+
+
+BINARY_FORMS = ["bytes", "bytes file object", "path"]
+
+
+class TestWidthAndEncodingFaults:
+    """An index above num_features and a byte that is not UTF-8 name their line."""
+
+    def test_index_above_num_features(self):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("1 1:1\n1 3:1\n", num_features=2)
+        assert str(exc.value) == "line 2: index 3 exceeds num_features=2"
+
+    @pytest.mark.parametrize("block_chars", [1_000, data._BLOCK_CHARS])
+    @pytest.mark.parametrize("form", ["str"] + FILE_FORMS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_index_above_num_features_deep_in_a_file(self, sparse, form, block_chars, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
+        text, at = with_wide_line(sparse)
+        width = varied_libsvm(21, sparse)[2].shape[1]
+        source = text if form == "str" else as_file(text, form, tmp_path)
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(source, num_features=width)
+        assert exc.value.line_no == at + 1
+        assert f"index {width + 1} exceeds num_features={width}" in str(exc.value)
+        assert parse_libsvm(text).d == width + 1
+
+    @pytest.mark.parametrize("num_features", [0, -3])
+    def test_num_features_below_one(self, num_features):
+        with pytest.raises(ValueError) as exc:
+            parse_libsvm("1 1:1\n", num_features=num_features)
+        assert not isinstance(exc.value, ParseError)
+        assert str(exc.value) == f"num_features must be at least 1, got {num_features}"
+
+    def test_num_features_too_large_for_memory(self):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("1 1:1\n1 1:2\n", num_features=10 ** 12)
+        assert str(exc.value).startswith(
+            f"line 1: num_features={10 ** 12} needs a dense 1 x {10 ** 12} point matrix")
+
+    @pytest.mark.parametrize("form", BINARY_FORMS)
+    def test_bad_byte_names_its_line(self, form, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(as_binary(b"1 1:1\n\xff 1:1\n", form, tmp_path))
+        assert str(exc.value) == "line 2: byte 0xff is not UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize("form", BINARY_FORMS)
+    def test_truncated_character_at_the_end(self, form, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(as_binary(b"1 1:1\r\n1 1:2\xe2\x80", form, tmp_path))
+        assert str(exc.value) == "line 2: byte 0xe2 is not UTF-8 (unexpected end of data)"
+
+    @pytest.mark.parametrize("block_chars", [1_000, data._BLOCK_CHARS])
+    @pytest.mark.parametrize("form", BINARY_FORMS)
+    @pytest.mark.parametrize("byte", [b"\xff", b"\x80", b"\xc3("])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bad_byte_deep_in_a_file(self, sparse, byte, form, block_chars, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
+        raw, at = with_bad_byte(sparse, byte)
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(as_binary(raw, form, tmp_path))
+        assert exc.value.line_no == at + 1
+        assert f"byte {byte[0]:#04x} is not UTF-8" in str(exc.value)
 
 
 class TestToLibsvm:

@@ -21,6 +21,9 @@ from icfcluster import (
     run_benchmark,
     trace_objective,
 )
+from icfcluster import evaluate
+from icfcluster.baselines import approx_kkmeans, chol_embedding, nystrom_embedding, rff_embedding
+from icfcluster.cluster import lloyd, oracle_embedding
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -307,3 +310,99 @@ class TestRunBenchmark:
                               subset_sizes=[5], sigma=0.5, clusters=2)
         with pytest.raises(ValueError):
             run_benchmark(cfg)
+
+
+ALL_ALGORITHMS = ["icf", "kernel", "chol", "nystrom", "rff", "approx"]
+
+
+def shared_config(**overrides) -> BenchmarkConfig:
+    fields = dict(datasets=[small_labeled_dataset()], algorithms=ALL_ALGORITHMS,
+                  subset_sizes=[5, 10], sigma=0.5, clusters=2, num_seeds=3)
+    fields.update(overrides)
+    return BenchmarkConfig(**fields)
+
+
+class TestSeedFreeEmbeddingsShared:
+    """icf, kernel and chol ignore the seed: one build per (algorithm, size)
+    serves every seed's Lloyd run, and its rows charge that build's time."""
+
+    def counted(self, monkeypatch, names):
+        calls = {name: 0 for name in names}
+        for name in names:
+            def wrapper(dataset, *args, _name=name, _inner=getattr(evaluate, name), **kwargs):
+                if dataset.name != "warmup":
+                    calls[_name] += 1
+                return _inner(dataset, *args, **kwargs)
+            monkeypatch.setattr(evaluate, name, wrapper)
+        return calls
+
+    def test_builds_per_group_and_per_seed(self, monkeypatch):
+        calls = self.counted(monkeypatch, ["icf_factorize", "oracle_embedding", "chol_embedding",
+                                           "nystrom_embedding", "rff_embedding", "_approx_blocks"])
+        cfg = shared_config()
+        report = run_benchmark(cfg)
+        assert len(report.rows) == len(ALL_ALGORITHMS) * 2 * 3
+        sizes, seeds = len(cfg.subset_sizes), cfg.num_seeds
+        assert calls == {"icf_factorize": sizes, "oracle_embedding": sizes, "chol_embedding": sizes,
+                         "nystrom_embedding": sizes * seeds, "rff_embedding": sizes * seeds,
+                         "_approx_blocks": sizes * seeds}
+
+    def test_metric_columns_equal_direct_runs(self):
+        cfg = shared_config()
+        ds, spec, k = cfg.datasets[0], KernelSpec("gaussian", cfg.sigma), cfg.clusters
+        for row in run_benchmark(cfg).rows:
+            size, seed = row.subset_size, row.seed
+            if row.algorithm == "approx":
+                model, rank = approx_kkmeans(ds, spec, size, k, seed), size
+            else:
+                embed = {
+                    "icf": lambda: icf_factorize(ds, spec, max_rank=size, epsilon=cfg.epsilon).P,
+                    "kernel": lambda: oracle_embedding(ds, spec),
+                    "chol": lambda: chol_embedding(ds, spec),
+                    "nystrom": lambda: nystrom_embedding(ds, spec, size, seed),
+                    "rff": lambda: rff_embedding(ds, spec, size + size % 2, seed),
+                }[row.algorithm]()
+                model, rank = lloyd(embed, k, seed), embed.shape[1]
+            assert row.objective == model.objective, (row.algorithm, size, seed)
+            assert row.accuracy == accuracy(model.assignments, ds.labels)
+            assert row.achieved_rank == rank
+
+    def test_later_seeds_charge_the_build_time(self):
+        rows = run_benchmark(shared_config()).rows
+        for (algorithm, size), group in itertools.groupby(rows, lambda r: (r.algorithm, r.subset_size)):
+            group = list(group)
+            assert [r.seed for r in group] == [0, 1, 2]
+            for r in group:
+                assert r.total_ms == r.factorize_ms + r.cluster_ms
+            if algorithm in ("icf", "kernel", "chol"):
+                assert all(r.factorize_ms == group[0].factorize_ms for r in group)
+            else:
+                assert all(r.factorize_ms > 0.0 for r in group)
+
+    def test_shared_embedding_is_read_only_and_column_major(self, monkeypatch):
+        seen = []
+
+        def recording_lloyd(points, k, seed, **kwargs):
+            seen.append(points)
+            return lloyd(points, k, seed, **kwargs)
+
+        monkeypatch.setattr(evaluate, "lloyd", recording_lloyd)
+        cfg = shared_config(algorithms=["icf", "kernel", "chol", "nystrom", "rff"], subset_sizes=[5])
+        run_benchmark(cfg)
+        for a, algorithm in enumerate(cfg.algorithms):
+            group = seen[3 * a: 3 * a + 3]
+            if algorithm in ("icf", "kernel", "chol"):
+                assert group[1] is group[0] and group[2] is group[0]
+                assert not group[0].flags.writeable and group[0].flags.f_contiguous
+                with pytest.raises(ValueError):
+                    group[0][0, 0] = 1.0
+            else:
+                assert group[1] is not group[0]
+
+    def test_guard_skipped_rows_build_nothing(self, monkeypatch):
+        calls = self.counted(monkeypatch, ["oracle_embedding", "chol_embedding", "icf_factorize"])
+        report = run_benchmark(shared_config(algorithms=["kernel", "chol", "icf"], subset_sizes=[5], guard=30))
+        assert calls == {"oracle_embedding": 0, "chol_embedding": 0, "icf_factorize": 1}
+        lines = report.to_csv().splitlines()[1:]
+        assert lines[:6] == [f"blobs,{a},5,{seed},,,,,," for a in ("kernel", "chol") for seed in range(3)]
+        assert all(not r.skipped and r.objective is not None for r in report.rows[6:])
