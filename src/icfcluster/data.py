@@ -89,9 +89,8 @@ class Dataset:
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM text into a Dataset.
 
-    The text is read in blocks of about 128 KB, each cut just after a newline;
-    a path or file object is read one block at a time, so only a str or
-    bytes source is held whole.
+    The text is read in blocks of about 128 KB, each cut just after a newline:
+    a str is sliced in place, and any other source is read a block at a time.
     A block is converted by a few whole-block string and numpy operations.
     When that conversion fails, the same conversion runs on the block's
     lines one at a time, and the first line that fails alone is reported.
@@ -101,7 +100,8 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
     Args:
         source: str, bytes, file-like object, or path to a file.  Bytes, and
             the bytes of a path or a binary file, are decoded as UTF-8 one
-            block at a time; both LF and CRLF line endings are accepted.
+            block at a time; a text-mode file decodes inside its own read, so
+            its decoding errors name no line.  LF and CRLF endings are accepted.
         num_features: optional fixed width, at least 1; defaults to the
             largest index seen.
         name: dataset name to attach.
@@ -266,7 +266,10 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int,
     dense matrix.
     """
     parts = [p for p in map(str.split, lines) if p]
-    labels = _int64s(_label, [p[0] for p in parts])
+    # labels repeat from line to line, so _label runs once per distinct one
+    firsts = [p[0] for p in parts]
+    label_of = {token: _label(token) for token in set(firsts)}
+    labels = np.fromiter(map(label_of.__getitem__, firsts), np.int64, len(firsts))
     n_rows = len(parts)
     counts = np.fromiter(map(len, parts), np.int64, n_rows) - 1
     n_tokens = int(counts.sum())
@@ -315,16 +318,6 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int,
     return labels, rows
 
 
-def _int64s(convert, tokens: list[str]) -> np.ndarray:
-    """convert applied to each token, as int64, calling it once per distinct token.
-
-    Labels repeat from line to line, so this is a few calls per block where
-    a call per token would be one per line read.
-    """
-    table = {token: convert(token) for token in set(tokens)}
-    return np.fromiter(map(table.__getitem__, tokens), np.int64, len(tokens))
-
-
 def _first_rejected(convert, tokens: list[str]) -> str:
     """The first of tokens for which convert raises ValueError."""
     for token in tokens:
@@ -359,10 +352,10 @@ def _fits_in_memory(rows: int, width: int) -> bool:
 
 
 def _opened(source):
-    """A context giving the source as a str (str and bytes sources) or as a
-    file object (paths and file objects); a path's file is closed on exit."""
+    """A context giving a str source as it is and any other source as a file
+    object (bytes in a BytesIO); a path's file is closed on exit."""
     if isinstance(source, bytes):
-        return contextlib.nullcontext(_decoded(source, 0))
+        return contextlib.nullcontext(io.BytesIO(source))
     if isinstance(source, str) and ("\n" in source or not os.path.isfile(source)):
         # a string is raw content unless it points at an existing file
         return contextlib.nullcontext(source)

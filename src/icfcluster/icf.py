@@ -66,29 +66,27 @@ class IcfFactor:
     kernel_evals: int
 
     def __post_init__(self):
-        self._own(copy=True)
+        self._own(self.P, self.pivots, self.residual_diag, self.trace_history, copy=True)
 
     @classmethod
     def _adopt(cls, P, pivots, residual_diag, trace_history, kernel_evals) -> IcfFactor:
         """Wrap arrays this module has just built, freezing them without a copy."""
         factor = cls.__new__(cls)
-        factor.P, factor.pivots, factor.residual_diag, factor.trace_history = (
-            P, pivots, residual_diag, trace_history)
         factor.kernel_evals = kernel_evals
-        factor._own(copy=False)
+        factor._own(P, pivots, residual_diag, trace_history, copy=False)
         return factor
 
-    def _own(self, copy: bool) -> None:
+    def _own(self, P, pivots, diag, hist, copy: bool) -> None:
         """Validate the shapes and freeze the arrays, copying them first if asked.
 
         The public constructor copies, so it never freezes or aliases an array
         its caller still holds.
         """
         as_array = np.array if copy else np.asarray
-        P = as_array(self.P, dtype=np.float64)
-        pivots = as_array(self.pivots, dtype=np.int64)
-        diag = as_array(self.residual_diag, dtype=np.float64)
-        hist = as_array(self.trace_history, dtype=np.float64)
+        P = as_array(P, dtype=np.float64)
+        pivots = as_array(pivots, dtype=np.int64)
+        diag = as_array(diag, dtype=np.float64)
+        hist = as_array(hist, dtype=np.float64)
         n, s = P.shape
         if pivots.shape != (s,) or len(np.unique(pivots)) != s:
             raise ValueError("pivots must be s distinct indices")
@@ -135,20 +133,8 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     diag = kernel_diag(spec, dataset).astype(np.float64, copy=True)
-    e = diag.copy()
-    # the factor is built transposed (columns as contiguous rows) so the
-    # per-step matvec and downdate stream memory instead of striding; this
-    # buffer is the factor's only storage, P is returned as a view of it
-    PT = np.empty((max_rank, n))
-    pivots = np.empty(max_rank, dtype=np.int64)
-    history = [float(np.sum(e))]
-    s = 0
-    while s < max_rank and history[-1] > epsilon:
-        if _step(PT, pivots, e, s, diag, dataset, spec) is not None:
-            break
-        history.append(float(np.sum(e)))
-        s += 1
-    return IcfFactor._adopt(PT[:s].T, pivots[:s], e, np.array(history), n * (s + 1))
+    empty = IcfFactor._adopt(np.empty((n, 0)), np.empty(0, np.int64), diag, np.array([float(np.sum(diag))]), n)
+    return _grow(empty, dataset, spec, diag, max_rank, epsilon)[0]
 
 
 def icf_step(factor: IcfFactor, dataset: Dataset, spec: KernelSpec) -> IcfFactor:
@@ -157,21 +143,14 @@ def icf_step(factor: IcfFactor, dataset: Dataset, spec: KernelSpec) -> IcfFactor
     Raises ValueError when no positive residual is left and BreakdownError
     when the best pivot is rank-exhausted.
     """
-    n, s = factor.n, factor.s
-    if dataset.n != n:
+    if dataset.n != factor.n:
         raise ValueError("dataset does not match factor size")
-    if s >= n:
+    if factor.s >= factor.n:
         raise ValueError("factor already has n columns")
-    e = factor.residual_diag.copy()
-    PT = np.empty((s + 1, n))
-    PT[:s] = factor.P.T
-    pivots = np.empty(s + 1, dtype=np.int64)
-    pivots[:s] = factor.pivots
-    refused = _step(PT, pivots, e, s, kernel_diag(spec, dataset), dataset, spec)
-    if refused is not None:
-        raise refused
-    history = np.append(factor.trace_history, float(np.sum(e)))
-    return IcfFactor._adopt(PT.T, pivots, e, history, factor.kernel_evals + n)
+    grown, refusal = _grow(factor, dataset, spec, kernel_diag(spec, dataset), factor.s + 1, -math.inf)
+    if refusal is not None:
+        raise refusal
+    return grown
 
 
 def reconstruct(factor: IcfFactor, guard: int = DEFAULT_GUARD) -> np.ndarray:
@@ -278,46 +257,63 @@ def _finite_floats(line: str, section: str) -> list[float]:
     return values
 
 
-def _step(PT: np.ndarray, pivots: np.ndarray, e: np.ndarray, s: int, diag: np.ndarray,
-          dataset: Dataset, spec: KernelSpec) -> Exception | None:
-    """Take step s at the largest residual entry t: fill PT[s], record t, downdate e.
+def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarray,
+          rank: int, epsilon: float) -> tuple[IcfFactor, Exception | None]:
+    """factor grown to rank columns or until its residual trace is at most
+    epsilon, and the unraised error of the refused step that stopped it, or None.
 
-    PT holds the factor transposed, one column per contiguous row, and
-    pivots[:s] the pivots chosen so far.  A refused step changes nothing and
-    returns the unraised error that says why: ValueError when no positive
-    residual is left, BreakdownError(s, nu^2) at rank exhaustion, checked
-    from the diagonal before a kernel column is spent.  The row is computed
-    in place as (col - u P) / nu without temporaries; col, Gram column t, is
-    then reused as scratch for the squared row.  Residual entries that round
-    into [-NEGATIVE_TOL, 0) are clamped to zero; anything lower means the
-    update lost positive semidefiniteness and raises BreakdownError.
+    PT holds the factor transposed, a column per contiguous row, so a step's
+    matvec and downdate stream memory; P is a view of it.  PT is a fresh
+    buffer of rank rows with the factor copied in, so a growth never writes
+    into a factor already handed out.
+
+    Step s pivots on the largest residual entry t, fills PT[s] in place as
+    (col - u P) / nu and downdates e with col, Gram column t, as scratch.  A
+    refused step changes nothing: ValueError when no positive residual is left,
+    BreakdownError(s, nu^2) at rank exhaustion, before a kernel column is spent.
+    Residuals rounding into [-NEGATIVE_TOL, 0) are clamped to 0; lower ones raise
+    BreakdownError.
     """
-    # selected entries are pinned to exactly 0 and the rest kept non-negative,
-    # so a positive argmax is unselected; ties go to the smallest index
-    t = int(np.argmax(e))
-    if not e[t] > 0.0:
-        return ValueError("no unselected index with positive residual remains")
-    u = PT[:s, t]
-    nu_sq = float(diag[t] - u @ u)
-    if not nu_sq > RANK_TOL * diag[t]:
-        return BreakdownError(s, nu_sq)
-    nu = float(np.sqrt(nu_sq))
-    col = kernel_column(spec, dataset, t)
-    p = PT[s]
-    if s:
-        np.matmul(u, PT[:s], out=p)
-        np.subtract(col, p, out=p)
-        p /= nu
-    else:
-        np.divide(col, nu, out=p)
-    p[pivots[:s]] = 0.0
-    p[t] = nu
-    pivots[s] = t
-    e -= np.multiply(p, p, out=col)
-    e[t] = 0.0
-    worst = float(np.min(e))
-    if worst < 0.0:
-        if worst < -NEGATIVE_TOL:
-            raise BreakdownError(s, worst)
-        np.clip(e, 0.0, None, out=e)
-    return None
+    n, s = factor.n, factor.s
+    PT = np.empty((rank, n))
+    PT[:s] = factor.P.T
+    pivots = np.empty(rank, dtype=np.int64)
+    pivots[:s] = factor.pivots
+    e = factor.residual_diag.copy()
+    history = factor.trace_history.tolist()
+    refusal = None
+    while s < rank and history[-1] > epsilon:
+        # selected entries are pinned to exactly 0 and the rest kept non-negative,
+        # so a positive argmax is unselected; ties go to the smallest index
+        t = int(np.argmax(e))
+        if not e[t] > 0.0:
+            refusal = ValueError("no unselected index with positive residual remains")
+            break
+        u = PT[:s, t]
+        nu_sq = float(diag[t] - u @ u)
+        if not nu_sq > RANK_TOL * diag[t]:
+            refusal = BreakdownError(s, nu_sq)
+            break
+        nu = float(np.sqrt(nu_sq))
+        col = kernel_column(spec, dataset, t)
+        p = PT[s]
+        if s:
+            np.matmul(u, PT[:s], out=p)
+            np.subtract(col, p, out=p)
+            p /= nu
+        else:
+            np.divide(col, nu, out=p)
+        p[pivots[:s]] = 0.0
+        p[t] = nu
+        pivots[s] = t
+        e -= np.multiply(p, p, out=col)
+        e[t] = 0.0
+        worst = float(np.min(e))
+        if worst < 0.0:
+            if worst < -NEGATIVE_TOL:
+                raise BreakdownError(s, worst)
+            np.clip(e, 0.0, None, out=e)
+        history.append(float(np.sum(e)))
+        s += 1
+    evals = factor.kernel_evals + n * (s - factor.s)
+    return IcfFactor._adopt(PT[:s].T, pivots[:s], e, np.array(history), evals), refusal

@@ -225,6 +225,18 @@ class TestParseLibsvm:
                 tracemalloc.stop()
         assert peak < os.path.getsize(path)
 
+    def test_peak_memory_of_a_bytes_source_stays_below_its_length(self):
+        # bytes are decoded one block at a time, so their whole text is never held
+        rng = np.random.default_rng(8)
+        raw = to_libsvm(Dataset(rng.normal(size=(10_000, 16)), rng.integers(0, 10, 10_000))).encode()
+        tracemalloc.start()
+        try:
+            parse_libsvm(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(raw)
+
     def test_large_reference_file_when_present(self):
         path = os.environ.get("PENDIGITS_PATH", "")
         if not path or not os.path.isfile(path):

@@ -1,5 +1,6 @@
 """Tests for the incomplete Cholesky factorization core."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -34,6 +35,12 @@ def exact_rank_dataset(seed: int, r: int, n: int) -> Dataset:
     """n points spanning an r-dimensional subspace: linear Gram has rank r."""
     G = np.random.default_rng(seed).normal(size=(r, n))
     return Dataset(G.T)
+
+
+def arrays(factor: IcfFactor) -> list[bytes]:
+    """The bits of a factor's arrays and its evaluation count."""
+    return [a.tobytes() for a in (factor.P, factor.pivots, factor.residual_diag, factor.trace_history)] + [
+        factor.kernel_evals]
 
 
 def random_cases(seed: int, count: int) -> list:
@@ -283,6 +290,32 @@ class TestIcfStep:
         other = rand_dataset(9, 11, 2)
         with pytest.raises(ValueError):
             icf_step(f, other, GAUSS)
+
+
+class TestStepBuffers:
+    """Every growth copies its factor into a fresh buffer, so no step
+    changes a factor handed out, whatever it was built by."""
+
+    def test_steps_never_change_an_earlier_factor_or_child(self):
+        ds = rand_dataset(11, 60, 3)
+        f = icf_step(icf_factorize(ds, GAUSS, max_rank=5, epsilon=1e-300), ds, GAUSS)
+        twin = copy.copy(f)
+        made = [f, twin]
+        bits = [arrays(f), arrays(twin)]
+        for parent, sigma in ((f, 0.5), (f, 0.5001), (twin, 0.5002), (twin, 0.5)):
+            made.append(icf_step(parent, ds, KernelSpec(sigma=sigma)))
+            bits.append(arrays(made[-1]))
+            made.append(icf_step(made[-1], ds, GAUSS))
+            bits.append(arrays(made[-1]))
+        assert [arrays(g) for g in made] == bits
+        # the two children of f and twin stepped with sigma 0.5 are the same factor
+        assert bits[2] == bits[8]
+
+    def test_a_factor_rebuilt_by_the_constructor_steps_like_the_loop(self):
+        ds = rand_dataset(12, 40, 3)
+        f = icf_factorize(ds, GAUSS, max_rank=3, epsilon=1e-300)
+        rebuilt = IcfFactor(f.P, f.pivots, f.residual_diag, f.trace_history, f.kernel_evals)
+        assert arrays(icf_step(rebuilt, ds, GAUSS)) == arrays(icf_factorize(ds, GAUSS, max_rank=4, epsilon=1e-300))
 
 
 class TestInvariants:
