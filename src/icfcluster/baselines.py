@@ -109,7 +109,8 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
     if not 1 <= k <= subset_size:
         raise ValueError(f"k must be in [1, subset_size={subset_size}], got {k}")
     K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
-    return _approx_solve(dataset, spec, K_MB, W, k, seed, max_iter, tol)
+    Z = K_MB @ W
+    return _approx_solve(dataset, spec, Z, W, lloyd(Z, k, seed, max_iter=max_iter, tol=tol))
 
 
 def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int):
@@ -129,16 +130,14 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
     return K_MB, U[:, keep] / np.sqrt(w[keep])
 
 
-def _approx_solve(dataset: Dataset, spec: KernelSpec, K_MB: np.ndarray, W: np.ndarray,
-                  k: int, seed: int, max_iter: int, tol: float) -> ClusterModel:
-    """Lloyd on the Nystrom rows Z = K_MB W, returned as restricted centers.
+def _approx_solve(dataset: Dataset, spec: KernelSpec, Z: np.ndarray, W: np.ndarray,
+                  model: ClusterModel) -> ClusterModel:
+    """Lloyd's model of the Nystrom rows Z = K_MB W, returned as restricted centers.
 
     A center in the sample's span is the projection of its cluster's mean, so
     ||phi(x_i) - c_j||^2 = (K_ii - ||z_i||^2) + ||z_i - zhat_j||^2: the first
     term moves no assignment and is added to the objective; zhat W^T are the weights.
     """
-    Z = K_MB @ W
-    model = lloyd(Z, k, seed, max_iter=max_iter, tol=tol)
     residual = np.maximum(kernel_diag(spec, dataset) - np.einsum("ij,ij->i", Z, Z), 0.0)
     residual_mean = float(residual.mean())
     return replace(model, centers=model.centers @ W.T, objective=model.objective + residual_mean,

@@ -54,6 +54,11 @@ class ClusterModel:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which freezes the arrays
+        return type(self), (self.assignments, self.centers, self.objective, self.iterations,
+                            self.converged, self.objective_history, self.moved_history)
+
     @property
     def k(self) -> int:
         return self.centers.shape[0]

@@ -69,6 +69,11 @@ class Dataset:
             lab.flags.writeable = False
             object.__setattr__(self, "labels", lab)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which freezes the
+        # arrays; the cached _centered is recomputed, not carried over
+        return type(self), (self.points, self.labels, self.name)
+
     @property
     def n(self) -> int:
         return self.points.shape[0]

@@ -12,7 +12,9 @@ residual-trace history is to exponential.
 run_benchmark times every (dataset, algorithm, subset_size, seed) cell with
 separate factorization and clustering stages and renders rows as CSV.  The
 embeddings that do not depend on the seed (icf, kernel, chol) are built once
-per (dataset, algorithm, subset_size) and clustered from every seed.
+per (dataset, algorithm, subset_size) and clustered from every seed.  The
+nystrom and approx rows of one (subset_size, seed) share one sample and one
+Lloyd run.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import (_approx_blocks, _approx_solve, chol_embedding,
-                        nystrom_embedding, rff_embedding)
-from .cluster import lloyd, oracle_embedding, psd_embedding
+from .baselines import _approx_blocks, _approx_solve, chol_embedding, rff_embedding
+from .cluster import ClusterModel, lloyd, oracle_embedding, psd_embedding
 from .data import Dataset
 from .icf import IcfFactor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
@@ -34,12 +35,11 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 ALGORITHMS = ("icf", "kernel", "chol", "nystrom", "rff", "approx")
 
 # (dataset, spec, subset_size, seed, config) -> the rows Lloyd clusters, for
-# all but approx; rff's feature count is the subset size rounded up to even
+# all but the sampled pair; rff's feature count is the subset size rounded up to even
 _EMBEDDINGS = {
     "icf": lambda ds, spec, size, seed, cfg: icf_factorize(ds, spec, max_rank=size, epsilon=cfg.epsilon).P,
     "kernel": lambda ds, spec, size, seed, cfg: oracle_embedding(ds, spec, guard=cfg.guard),
     "chol": lambda ds, spec, size, seed, cfg: chol_embedding(ds, spec, guard=cfg.guard),
-    "nystrom": lambda ds, spec, size, seed, cfg: nystrom_embedding(ds, spec, size, seed),
     "rff": lambda ds, spec, size, seed, cfg: rff_embedding(ds, spec, size + size % 2, seed),
 }
 
@@ -48,6 +48,9 @@ _FULL_MATRIX = frozenset({"kernel", "chol"})
 
 # these embeddings ignore the seed, so one build serves every seed's Lloyd run
 _SEED_FREE = frozenset({"icf", "kernel", "chol"})
+
+# both run Lloyd on the Nystrom rows of one seed's sample, so one run fills both rows
+_PARTNER = {"nystrom": "approx", "approx": "nystrom"}
 
 CSV_HEADER = "dataset,algorithm,subset_size,seed,accuracy,objective,achieved_rank,factorize_ms,cluster_ms,total_ms"
 
@@ -251,73 +254,108 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     Full-matrix algorithms on datasets beyond the guard produce rows marked
     skipped (empty metrics) instead of failing the sweep.  All randomness is
     derived from the per-row seed, so metric columns are reproducible; only
-    the timing columns vary between runs.
+    the timing columns vary between runs.  An approx sweep with k outside
+    [1, subset_size] is refused before any cell runs, as approx_kkmeans would.
 
     A seed-free embedding (_SEED_FREE) is built by seed 0's cell and reused
     by the later seeds of its (algorithm, subset_size) group; each of those
     rows reports the build's measured time as factorize_ms.  One shared
     embedding is alive at a time: it is dropped when its group ends.
+
+    The first of the nystrom and approx cells of a (subset_size, seed) runs
+    both (_run_sampled) and keeps only the other row's finished numbers until
+    that row takes them.
     """
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if "approx" in config.algorithms:
+        for dataset in config.datasets:
+            k = _per_dataset(config.clusters, dataset.name)
+            for subset_size in config.subset_sizes:
+                if not 1 <= k <= subset_size:
+                    raise ValueError(f"approx needs k in [1, subset_size={subset_size}], got k={k}")
     report = BenchmarkReport()
     for dataset in config.datasets:
         spec = KernelSpec("gaussian", _per_dataset(config.sigma, dataset.name))
         k = _per_dataset(config.clusters, dataset.name)
         _warmup(dataset, spec)
+        shared = {}
         for algorithm in config.algorithms:
             for subset_size in config.subset_sizes:
-                shared = None
                 for seed in range(config.num_seeds):
                     row = BenchmarkRow(dataset.name, algorithm, subset_size, seed)
                     if algorithm in _FULL_MATRIX and dataset.n > config.guard:
                         row.skipped = True
                     else:
-                        shared = _run_cell(row, dataset, spec, algorithm, subset_size, k, config, shared)
+                        _run_cell(row, dataset, spec, k, config, shared)
                     report.rows.append(row)
+                shared.pop((algorithm, subset_size), None)
     return report
 
 
-def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, algorithm: str,
-              subset_size: int, k: int, config: BenchmarkConfig,
-              shared: tuple[np.ndarray, float] | None) -> tuple[np.ndarray, float] | None:
+def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, k: int,
+              config: BenchmarkConfig, shared: dict) -> None:
     """Fill row with one seed's clustering of its cell.
 
-    shared is a seed-free embedding and its build time in ms, as returned by
-    the group's previous cell; without it the embedding is built and timed
-    here.  A seed-free embedding is stored column-major and read-only, the
-    layout lloyd reads in place, and returned with its build time for the
-    next seed; other algorithms return None.
+    shared maps (algorithm, subset_size) to a seed-free embedding, stored
+    column-major and read-only (the layout lloyd reads in place), and its
+    build time in ms; and (algorithm, subset_size, seed) to a sampled row's
+    finished numbers, left there by its partner's cell.
     """
-    seed = row.seed
-    t0 = time.perf_counter()
-    if algorithm == "approx":
-        K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
-        rank = subset_size
-        t1 = time.perf_counter()
-        model = _approx_solve(dataset, spec, K_MB, W, k, seed, config.max_iter, 1e-6)
+    algorithm, subset_size, seed = row.algorithm, row.subset_size, row.seed
+    if algorithm in _PARTNER:
+        numbers = shared.pop((algorithm, subset_size, seed), None)
+        if numbers is None:
+            numbers, theirs = _run_sampled(dataset, spec, algorithm, subset_size, seed, k, config)
+            if _PARTNER[algorithm] in config.algorithms:
+                shared[_PARTNER[algorithm], subset_size, seed] = theirs
     else:
-        if shared is None:
+        built = shared.get((algorithm, subset_size))
+        if built is None:
+            t0 = time.perf_counter()
             embed = _EMBEDDINGS[algorithm](dataset, spec, subset_size, seed, config)
             if algorithm in _SEED_FREE:
                 embed = np.asfortranarray(embed)
                 embed.flags.writeable = False
-                shared = embed, (time.perf_counter() - t0) * 1e3
-        else:
-            embed = shared[0]
-        rank = embed.shape[1]
+            built = embed, (time.perf_counter() - t0) * 1e3
+            if algorithm in _SEED_FREE:
+                shared[algorithm, subset_size] = built
+        embed, factorize_ms = built
         t1 = time.perf_counter()
         model = lloyd(embed, k, seed, max_iter=config.max_iter)
-    t2 = time.perf_counter()
-    row.objective = model.objective
-    row.achieved_rank = rank
-    if dataset.labels is not None:
-        row.accuracy = accuracy(model.assignments, dataset.labels)
-    row.factorize_ms = shared[1] if shared else (t1 - t0) * 1e3
-    row.cluster_ms = (t2 - t1) * 1e3
+        numbers = (model.objective, _accuracy_of(model, dataset), embed.shape[1],
+                   factorize_ms, (time.perf_counter() - t1) * 1e3)
+    row.objective, row.accuracy, row.achieved_rank, row.factorize_ms, row.cluster_ms = numbers
     row.total_ms = row.factorize_ms + row.cluster_ms
-    return shared
+
+
+def _run_sampled(dataset: Dataset, spec: KernelSpec, algorithm: str, subset_size: int,
+                 seed: int, k: int, config: BenchmarkConfig) -> tuple[tuple, tuple]:
+    """The finished numbers of algorithm's row and of its partner's, from one
+    sample and one Lloyd run on its Nystrom rows Z = K_MB W.
+
+    nystrom's factorize_ms covers the blocks and Z, its cluster_ms Lloyd;
+    approx's factorize_ms covers the blocks, its cluster_ms Z, Lloyd and the
+    residual.
+    """
+    t0 = time.perf_counter()
+    K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
+    t1 = time.perf_counter()
+    Z = K_MB @ W
+    t2 = time.perf_counter()
+    model = lloyd(Z, k, seed, max_iter=config.max_iter)
+    t3 = time.perf_counter()
+    restricted = _approx_solve(dataset, spec, Z, W, model)
+    t4 = time.perf_counter()
+    score = _accuracy_of(model, dataset)
+    rows = {"nystrom": (model.objective, score, W.shape[1], (t2 - t0) * 1e3, (t3 - t2) * 1e3),
+            "approx": (restricted.objective, score, subset_size, (t1 - t0) * 1e3, (t4 - t1) * 1e3)}
+    return rows[algorithm], rows[_PARTNER[algorithm]]
+
+
+def _accuracy_of(model: ClusterModel, dataset: Dataset) -> float | None:
+    return None if dataset.labels is None else accuracy(model.assignments, dataset.labels)
 
 
 def _warmup(dataset: Dataset, spec: KernelSpec) -> None:

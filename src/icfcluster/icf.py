@@ -68,6 +68,10 @@ class IcfFactor:
     def __post_init__(self):
         self._own(self.P, self.pivots, self.residual_diag, self.trace_history, copy=True)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which freezes the arrays
+        return type(self), (self.P, self.pivots, self.residual_diag, self.trace_history, self.kernel_evals)
+
     @classmethod
     def _adopt(cls, P, pivots, residual_diag, trace_history, kernel_evals) -> IcfFactor:
         """Wrap arrays this module has just built, freezing them without a copy."""

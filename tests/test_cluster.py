@@ -1,6 +1,8 @@
 """Tests for k-means++/Lloyd and the factored kernel k-means entry points."""
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -90,6 +92,18 @@ class TestLloyd:
         expected = float(((pts - mean) ** 2).sum()) / 20
         assert model.objective == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(model.assignments, np.zeros(20, dtype=np.int64))
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+    def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
+        model = lloyd(rand_points(6, 30, 3), 3, seed=2)
+        back = clone(model)
+        assert (back.objective, back.iterations, back.converged) == \
+               (model.objective, model.iterations, model.converged)
+        for name in ("assignments", "centers", "objective_history", "moved_history"):
+            kept, got = getattr(model, name), getattr(back, name)
+            assert np.array_equal(kept, got) and not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[0] = 1
 
     def test_k_equals_n_zero_objective(self):
         pts = rand_points(4, 8, 2)

@@ -1,8 +1,10 @@
 """Dataset container, LIBSVM parsing/serialization, and synthetic generators."""
 
+import copy
 import functools
 import io
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -62,6 +64,19 @@ class TestDataset:
             Dataset(pts, np.array([0.5, 1.0]))  # not integers
         with pytest.raises(ValueError):
             Dataset(pts, np.array([-1, 0]))  # negative
+
+    @pytest.mark.parametrize("clone", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy])
+    def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
+        ds = Dataset(np.random.default_rng(3).normal(size=(6, 2)), np.arange(6) % 3, name="toy")
+        XT, sq = ds._centered
+        back = clone(ds)
+        assert "_centered" not in vars(back)
+        for kept, got in ((ds.points, back.points), (ds.labels, back.labels)):
+            assert np.array_equal(kept, got) and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1
+        assert back.name == "toy"
+        assert np.array_equal(back._centered[0], XT) and np.array_equal(back._centered[1], sq)
 
 
 class TestParseLibsvm:

@@ -21,10 +21,11 @@ from icfcluster import (
     run_benchmark,
     trace_objective,
 )
-from icfcluster import evaluate
-from icfcluster.baselines import approx_kkmeans, chol_embedding, nystrom_embedding, rff_embedding
+from icfcluster import baselines, evaluate
+from icfcluster.baselines import (approx_kkmeans, chol_embedding, nystrom_embedding, nystrom_kmeans,
+                                  rff_embedding)
 from icfcluster.cluster import lloyd, oracle_embedding
-from icfcluster.kernel import full_gram
+from icfcluster.kernel import full_gram, kernel_column
 
 GAUSS = KernelSpec(sigma=0.5)
 
@@ -326,26 +327,28 @@ class TestSeedFreeEmbeddingsShared:
     """icf, kernel and chol ignore the seed: one build per (algorithm, size)
     serves every seed's Lloyd run, and its rows charge that build's time."""
 
-    def counted(self, monkeypatch, names):
+    def counted(self, monkeypatch, names, module=evaluate):
         calls = {name: 0 for name in names}
         for name in names:
-            def wrapper(dataset, *args, _name=name, _inner=getattr(evaluate, name), **kwargs):
+            def wrapper(dataset, *args, _name=name, _inner=getattr(module, name), **kwargs):
                 if dataset.name != "warmup":
                     calls[_name] += 1
                 return _inner(dataset, *args, **kwargs)
-            monkeypatch.setattr(evaluate, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
         return calls
 
     def test_builds_per_group_and_per_seed(self, monkeypatch):
         calls = self.counted(monkeypatch, ["icf_factorize", "oracle_embedding", "chol_embedding",
-                                           "nystrom_embedding", "rff_embedding", "_approx_blocks"])
+                                           "rff_embedding", "_approx_blocks"])
+        unused = self.counted(monkeypatch, ["nystrom_embedding"], module=baselines)
         cfg = shared_config()
         report = run_benchmark(cfg)
         assert len(report.rows) == len(ALL_ALGORITHMS) * 2 * 3
         sizes, seeds = len(cfg.subset_sizes), cfg.num_seeds
+        # nystrom and approx share one sample per (size, seed)
         assert calls == {"icf_factorize": sizes, "oracle_embedding": sizes, "chol_embedding": sizes,
-                         "nystrom_embedding": sizes * seeds, "rff_embedding": sizes * seeds,
-                         "_approx_blocks": sizes * seeds}
+                         "rff_embedding": sizes * seeds, "_approx_blocks": sizes * seeds}
+        assert unused == {"nystrom_embedding": 0}
 
     def test_metric_columns_equal_direct_runs(self):
         cfg = shared_config()
@@ -406,3 +409,54 @@ class TestSeedFreeEmbeddingsShared:
         lines = report.to_csv().splitlines()[1:]
         assert lines[:6] == [f"blobs,{a},5,{seed},,,,,," for a in ("kernel", "chol") for seed in range(3)]
         assert all(not r.skipped and r.objective is not None for r in report.rows[6:])
+
+
+class TestSampledPairShared:
+    """nystrom and approx cluster the Nystrom rows of the same sample: the
+    first of the two cells of a (size, seed) fills both rows from one run."""
+
+    @pytest.mark.parametrize("algorithms", [["nystrom", "approx"], ["approx", "nystrom"],
+                                            ["nystrom"], ["approx"]])
+    def test_rows_equal_direct_runs_from_one_sample(self, monkeypatch, algorithms):
+        cfg = shared_config(algorithms=algorithms)
+        ds, spec, k = cfg.datasets[0], KernelSpec("gaussian", cfg.sigma), cfg.clusters
+        columns = []
+
+        def counting_column(spec, dataset, t):
+            if dataset is ds:
+                columns.append(t)
+            return kernel_column(spec, dataset, t)
+
+        monkeypatch.setattr(baselines, "kernel_column", counting_column)
+        rows = run_benchmark(cfg).rows
+        monkeypatch.undo()
+        assert len(columns) == cfg.num_seeds * sum(cfg.subset_sizes)
+        assert [r.algorithm for r in rows] == [a for a in algorithms for _ in range(2 * 3)]
+        factorize_ms = {}
+        for row in rows:
+            size, seed = row.subset_size, row.seed
+            if row.algorithm == "approx":
+                model, rank = approx_kkmeans(ds, spec, size, k, seed), size
+            else:
+                model = nystrom_kmeans(ds, spec, size, k, seed)
+                rank = nystrom_embedding(ds, spec, size, seed).shape[1]
+            assert row.objective == model.objective, (row.algorithm, size, seed)
+            assert row.accuracy == accuracy(model.assignments, ds.labels)
+            assert row.achieved_rank == rank
+            assert row.total_ms == row.factorize_ms + row.cluster_ms
+            factorize_ms[row.algorithm, size, seed] = row.factorize_ms
+        for (algorithm, size, seed), ms in factorize_ms.items():
+            if algorithm == "approx" and ("nystrom", size, seed) in factorize_ms:
+                assert ms <= factorize_ms["nystrom", size, seed]
+
+    def test_approx_with_k_above_a_subset_size_is_refused_before_any_cell(self, monkeypatch):
+        clustered = []
+        monkeypatch.setattr(evaluate, "lloyd", lambda *args, **kwargs: clustered.append(args))
+        cfg = shared_config(algorithms=["icf", "approx"], subset_sizes=[5, 2], clusters=3)
+        with pytest.raises(ValueError, match=r"approx.*subset_size=2.*k=3"):
+            run_benchmark(cfg)
+        assert clustered == []
+
+    def test_nystrom_alone_may_ask_for_more_clusters_than_samples(self):
+        rows = run_benchmark(shared_config(algorithms=["nystrom"], subset_sizes=[2], clusters=3)).rows
+        assert all(r.objective is not None for r in rows)

@@ -1,6 +1,7 @@
 """Tests for the incomplete Cholesky factorization core."""
 
 import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -587,6 +588,18 @@ class TestValidation:
         for given, kept in ((P, f.P), (pivots, f.pivots), (diag, f.residual_diag), (hist, f.trace_history)):
             assert given.flags.writeable
             assert not np.shares_memory(given, kept)
+
+    @pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy])
+    def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
+        ds = Dataset(np.random.default_rng(5).normal(size=(12, 2)))
+        f = icf_factorize(ds, KernelSpec(sigma=0.5), max_rank=4)
+        back = clone(f)
+        assert back.kernel_evals == f.kernel_evals
+        for name in ("P", "pivots", "residual_diag", "trace_history"):
+            kept, got = getattr(f, name), getattr(back, name)
+            assert np.array_equal(kept, got) and not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[0] = 1
 
     def test_breakdown_error_carries_context(self):
         err = BreakdownError(7, -3.5e-9)
