@@ -15,6 +15,14 @@ re-summed from e rather than updated by subtraction so it cannot drift.
 Selected pivot entries are pinned at exactly zero, as are factor entries in
 previously selected rows (their exact value is zero; pinning stops rounding
 noise from being amplified by a small nu).
+
+The O(n s^2) term is the product P u.  Rather than read all of P at every
+step, the loop guesses a few likely next pivots at the start of each block
+of steps and takes their products with the finished columns in one matrix
+product; a step whose pivot was guessed reads only its block's own columns.
+The guesses cost no kernel evaluations.  A guess changes a column only by
+rounding, and the guesses depend on the finished columns alone, so stepping
+a factor one column at a time reproduces the one-shot loop bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ NEGATIVE_TOL = 1e-10
 # rounding noise left over after rank exhaustion, not a real column; matches
 # the relative eigenvalue clamp used by the dense embedding paths
 RANK_TOL = 1e-12
+
+# a panel serves the steps of one block of _BLOCK factor rows and holds the
+# products of _CANDIDATES likely pivots with the rows before the block
+_BLOCK = 16
+_CANDIDATES = 24
 
 
 class BreakdownError(RuntimeError):
@@ -267,9 +280,11 @@ def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarra
     epsilon, and the unraised error of the refused step that stopped it, or None.
 
     PT holds the factor transposed, a column per contiguous row, so a step's
-    matvec and downdate stream memory; P is a view of it.  PT is a fresh
+    products and downdate stream memory; P is a view of it.  PT is a fresh
     buffer of rank rows with the factor copied in, so a growth never writes
-    into a factor already handed out.
+    into a factor already handed out.  A growth that stops short copies its
+    rows out, so the factor holds no spare buffer rows; one that took no step
+    returns factor itself.
 
     Step s pivots on the largest residual entry t, fills PT[s] in place as
     (col - u P) / nu and downdates e with col, Gram column t, as scratch.  A
@@ -277,6 +292,16 @@ def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarra
     BreakdownError(s, nu^2) at rank exhaustion, before a kernel column is spent.
     Residuals rounding into [-NEGATIVE_TOL, 0) are clamped to 0; lower ones raise
     BreakdownError.
+
+    u P is taken from a panel where it can.  The rows of PT form blocks of
+    _BLOCK.  At the first step of block m >= 1 (s = mB), one matrix product
+    gives the panel, the products with PT[:mB] of the _CANDIDATES likeliest
+    pivots: the unselected indices with the largest r = diag - sum_{j<mB}
+    P[:, j]^2, kept apart from e and folded one completed block at a time in
+    a fixed order.  A step whose pivot is a candidate adds the products with
+    the block's own rows to its panel row; any other step reads all of PT.
+    So a column depends on P[:, :s] and t alone, not on where the growth
+    started: a growth that starts inside a block builds that block's panel.
     """
     n, s = factor.n, factor.s
     PT = np.empty((rank, n))
@@ -286,6 +311,8 @@ def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarra
     e = factor.residual_diag.copy()
     history = factor.trace_history.tolist()
     refusal = None
+    r, start, rows = diag.copy(), 0, {}
+    panel = np.empty((min(_CANDIDATES, n), n)) if rank > _BLOCK else None
     while s < rank and history[-1] > epsilon:
         # selected entries are pinned to exactly 0 and the rest kept non-negative,
         # so a positive argmax is unselected; ties go to the smallest index
@@ -300,13 +327,23 @@ def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarra
             break
         nu = float(np.sqrt(nu_sq))
         col = kernel_column(spec, dataset, t)
+        if s - s % _BLOCK > start:
+            for j in range(start, s - s % _BLOCK, _BLOCK):
+                block = PT[j:j + _BLOCK]
+                r -= np.einsum("ij,ij->j", block, block)
+                r[pivots[j:j + _BLOCK]] = -np.inf
+            start = s - s % _BLOCK
+            candidates = np.sort(np.argpartition(r, n - len(panel))[n - len(panel):])
+            np.matmul(PT[:start, candidates].T, PT[:start], out=panel)
+            rows = dict(zip(candidates.tolist(), range(len(panel))))
         p = PT[s]
-        if s:
-            np.matmul(u, PT[:s], out=p)
-            np.subtract(col, p, out=p)
-            p /= nu
+        if t in rows:
+            np.matmul(PT[start:s, t], PT[start:s], out=p)
+            p += panel[rows[t]]
         else:
-            np.divide(col, nu, out=p)
+            np.matmul(u, PT[:s], out=p)
+        np.subtract(col, p, out=p)
+        p /= nu
         p[pivots[:s]] = 0.0
         p[t] = nu
         pivots[s] = t
@@ -319,5 +356,8 @@ def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarra
             np.clip(e, 0.0, None, out=e)
         history.append(float(np.sum(e)))
         s += 1
+    if s == factor.s:
+        return factor, refusal
     evals = factor.kernel_evals + n * (s - factor.s)
-    return IcfFactor._adopt(PT[:s].T, pivots[:s], e, np.array(history), evals), refusal
+    P = (PT if s == rank else PT[:s].copy()).T
+    return IcfFactor._adopt(P, pivots[:s], e, np.array(history), evals), refusal

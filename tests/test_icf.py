@@ -17,6 +17,7 @@ from icfcluster import (
     icf_factorize,
     icf_step,
     kernel_column,
+    kernel_diag,
     parse_factor_dump,
     reconstruct,
     residual_trace,
@@ -317,6 +318,126 @@ class TestStepBuffers:
         f = icf_factorize(ds, GAUSS, max_rank=3, epsilon=1e-300)
         rebuilt = IcfFactor(f.P, f.pivots, f.residual_diag, f.trace_history, f.kernel_evals)
         assert arrays(icf_step(rebuilt, ds, GAUSS)) == arrays(icf_factorize(ds, GAUSS, max_rank=4, epsilon=1e-300))
+
+
+def mixture_dataset(seed: int, n: int, d: int, classes: int) -> Dataset:
+    """n points around `classes` random means, unit spread."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(0.0, 10.0, (classes, d))
+    return Dataset(means[rng.integers(0, classes, n)] + rng.normal(size=(n, d)))
+
+
+def plain_loop(ds: Dataset, spec: KernelSpec, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(P, pivots, trace history, kernel evaluations) of the textbook loop: every
+    step takes u P by one matrix-vector product over all of P."""
+    diag = kernel_diag(spec, ds)
+    e, P, pivots, history = diag.copy(), np.zeros((ds.n, rank)), [], [float(np.sum(diag))]
+    for s in range(rank):
+        t = int(np.argmax(e))
+        u = P[t, :s]
+        nu = float(np.sqrt(diag[t] - u @ u))
+        p = (kernel_column(spec, ds, t) - P[:, :s] @ u) / nu
+        p[pivots] = 0.0
+        p[t] = nu
+        P[:, s] = p
+        pivots.append(t)
+        e = np.clip(e - p * p, 0.0, None)
+        e[t] = 0.0
+        history.append(float(np.sum(e)))
+    return P, np.array(pivots), np.array(history), ds.n * (rank + 1)
+
+
+class _CountingNumpy:
+    """numpy, recording the rows of P read by each step's np.matmul(u, rows)."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        if a.ndim == 1:
+            self.rows.append(b.shape[0])
+        return np.matmul(a, b, **kwargs)
+
+
+# (dataset, kernel, rank) inputs whose growth crosses at least five panel blocks
+PANEL_CASES = [
+    (rand_dataset(20, 273, 3), GAUSS, 90),
+    (rand_dataset(21, 273, 2), KernelSpec(sigma=3.0), 81),
+    (mixture_dataset(22, 200, 4, 6), KernelSpec(sigma=1.5), 100),
+    (gen_synthetic("ring", 120, 0.05, 3), KernelSpec(sigma=20.0), 96),
+    # full rank: the last panels have fewer unselected indices than candidates
+    (rand_dataset(23, 90, 3), KernelSpec(sigma=2.0), 90),
+]
+
+
+class TestPanel:
+    """Steps whose pivot was a panel candidate take u P from the panel; the
+    column must still depend on P and t alone."""
+
+    @pytest.mark.parametrize("ds,spec,rank", PANEL_CASES)
+    def test_stepwise_equals_one_shot_across_blocks(self, ds, spec, rank):
+        assert rank >= 5 * icf._BLOCK + 1
+        f = icf_factorize(ds, spec, max_rank=1, epsilon=1e-300)
+        while f.s < rank:
+            f = icf_step(f, ds, spec)
+        assert arrays(f) == arrays(icf_factorize(ds, spec, max_rank=rank, epsilon=1e-300))
+
+    def test_stepwise_equals_one_shot_up_to_rank_exhaustion(self):
+        # a linear Gram matrix of rank 90: steps until the refusal, past five blocks
+        ds = exact_rank_dataset(24, 90, 273)
+        f = icf_factorize(ds, LINEAR, max_rank=1, epsilon=1e-300)
+        with pytest.raises(BreakdownError):
+            while True:
+                f = icf_step(f, ds, LINEAR)
+        once = icf_factorize(ds, LINEAR, max_rank=ds.n, epsilon=1e-300)
+        assert once.s == f.s >= 5 * icf._BLOCK
+        assert arrays(f) == arrays(once)
+
+    @pytest.mark.parametrize("start", [64, 65, 70, 79])
+    def test_a_rebuilt_factor_grows_like_the_loop_from_inside_a_block(self, start):
+        ds, spec, rank = PANEL_CASES[0]
+        f = icf_factorize(ds, spec, max_rank=start, epsilon=1e-300)
+        rebuilt = IcfFactor(f.P, f.pivots, f.residual_diag, f.trace_history, f.kernel_evals)
+        for _ in range(rank - start):
+            rebuilt = icf_step(rebuilt, ds, spec)
+        assert arrays(rebuilt) == arrays(icf_factorize(ds, spec, max_rank=rank, epsilon=1e-300))
+
+    @pytest.mark.parametrize("ds,spec,rank", PANEL_CASES)
+    def test_matches_the_plain_loop(self, ds, spec, rank):
+        f = icf_factorize(ds, spec, max_rank=rank, epsilon=1e-300)
+        P, pivots, history, evals = plain_loop(ds, spec, rank)
+        assert np.array_equal(f.pivots, pivots)
+        assert f.kernel_evals == evals
+        # the panel sums the same products in another order: rounding only
+        scale = float(np.max(kernel_diag(spec, ds)))
+        assert np.max(np.abs(f.P - P)) <= 1e-12 * np.sqrt(scale)
+        assert np.max(np.abs(f.trace_history - history)) <= 1e-12 * history[0]
+
+    def test_most_steps_read_only_their_blocks_rows(self, monkeypatch):
+        # a silent fall back to the plain loop would read all of P at every step
+        counting = _CountingNumpy()
+        monkeypatch.setattr(icf, "np", counting)
+        f = icf_factorize(mixture_dataset(25, 2000, 8, 10), KernelSpec(sigma=0.1), max_rank=200)
+        assert f.s == 200
+        assert len(counting.rows) == f.s
+        full = sum(1 for s, rows in enumerate(counting.rows) if s and rows == s)
+        assert full < f.s / 4
+        assert all(rows < icf._BLOCK for s, rows in enumerate(counting.rows) if rows != s)
+
+
+class TestBufferTrim:
+    def test_a_factor_that_stopped_early_holds_no_spare_rows(self):
+        # a linear kernel in 3-d has rank 3, far below max_rank
+        ds = rand_dataset(26, 2000, 3)
+        f = icf_factorize(ds, LINEAR, max_rank=500, epsilon=1e-300)
+        assert f.s == 3
+        assert f.P.base.nbytes == f.P.nbytes
+        g = icf_factorize(ds, GAUSS, max_rank=500, epsilon=1e2)
+        assert 0 < g.s < 500
+        assert g.P.base.nbytes == g.P.nbytes
 
 
 class TestInvariants:
