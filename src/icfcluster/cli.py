@@ -3,7 +3,8 @@
 Dataset arguments accept either a LIBSVM file path or an inline synthetic
 spec ``synth:<kind>:<per_cluster>:<noise>:<seed>``.  All output files are
 written atomically (temp file in the target directory, then rename), so a
-crashed run never leaves a half-written file behind.
+crashed run never leaves a half-written file behind; each gets the mode that
+the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
+        umask = os.umask(0)  # mkstemp makes the file 0600; give it open()'s mode instead
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -10,11 +10,11 @@ a-priori limit 2 sqrt(k) tr(K - P P^T) / n.  fit_decay checks how close a
 residual-trace history is to exponential.
 
 run_benchmark times every (dataset, algorithm, subset_size, seed) cell with
-separate factorization and clustering stages and renders rows as CSV.  The
-embeddings that do not depend on the seed (icf, kernel, chol) are built once
-per (dataset, algorithm, subset_size) and clustered from every seed.  The
-nystrom and approx rows of one (subset_size, seed) share one sample and one
-Lloyd run.
+separate factorization and clustering stages and renders rows as CSV.  One
+build fills every row it serves, and each row's numbers are taken once: an
+embedding that ignores the seed (icf, kernel, chol) serves every seed of its
+(algorithm, subset_size), a Nystrom sample serves the nystrom and approx rows
+of its seed, and rff's features serve their own row.
 """
 
 from __future__ import annotations
@@ -34,23 +34,16 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
 ALGORITHMS = ("icf", "kernel", "chol", "nystrom", "rff", "approx")
 
-# (dataset, spec, subset_size, seed, config) -> the rows Lloyd clusters, for
-# all but the sampled pair; rff's feature count is the subset size rounded up to even
-_EMBEDDINGS = {
-    "icf": lambda ds, spec, size, seed, cfg: icf_factorize(ds, spec, max_rank=size, epsilon=cfg.epsilon).P,
-    "kernel": lambda ds, spec, size, seed, cfg: oracle_embedding(ds, spec, guard=cfg.guard),
-    "chol": lambda ds, spec, size, seed, cfg: chol_embedding(ds, spec, guard=cfg.guard),
-    "rff": lambda ds, spec, size, seed, cfg: rff_embedding(ds, spec, size + size % 2, seed),
-}
-
 # these need the full n x n Gram matrix and are skipped beyond the guard
 _FULL_MATRIX = frozenset({"kernel", "chol"})
 
-# these embeddings ignore the seed, so one build serves every seed's Lloyd run
-_SEED_FREE = frozenset({"icf", "kernel", "chol"})
-
-# both run Lloyd on the Nystrom rows of one seed's sample, so one run fills both rows
-_PARTNER = {"nystrom": "approx", "approx": "nystrom"}
+# (dataset, spec, subset_size, config) -> the rows Lloyd clusters, for the
+# embeddings that ignore the seed, so one build serves every seed's Lloyd run
+_SEED_FREE = {
+    "icf": lambda ds, spec, size, cfg: icf_factorize(ds, spec, max_rank=size, epsilon=cfg.epsilon).P,
+    "kernel": lambda ds, spec, size, cfg: oracle_embedding(ds, spec, guard=cfg.guard),
+    "chol": lambda ds, spec, size, cfg: chol_embedding(ds, spec, guard=cfg.guard),
+}
 
 CSV_HEADER = "dataset,algorithm,subset_size,seed,accuracy,objective,achieved_rank,factorize_ms,cluster_ms,total_ms"
 
@@ -257,14 +250,9 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     the timing columns vary between runs.  An approx sweep with k outside
     [1, subset_size] is refused before any cell runs, as approx_kkmeans would.
 
-    A seed-free embedding (_SEED_FREE) is built by seed 0's cell and reused
-    by the later seeds of its (algorithm, subset_size) group; each of those
-    rows reports the build's measured time as factorize_ms.  One shared
-    embedding is alive at a time: it is dropped when its group ends.
-
-    The first of the nystrom and approx cells of a (subset_size, seed) runs
-    both (_run_sampled) and keeps only the other row's finished numbers until
-    that row takes them.
+    Each row takes its numbers from the first build that serves it
+    (_build_rows), once.  Only finished numbers are kept between cells, so an
+    embedding lives only inside its build.
     """
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
@@ -280,7 +268,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         spec = KernelSpec("gaussian", _per_dataset(config.sigma, dataset.name))
         k = _per_dataset(config.clusters, dataset.name)
         _warmup(dataset, spec)
-        shared = {}
+        done = {}
         for algorithm in config.algorithms:
             for subset_size in config.subset_sizes:
                 for seed in range(config.num_seeds):
@@ -288,70 +276,71 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
                     if algorithm in _FULL_MATRIX and dataset.n > config.guard:
                         row.skipped = True
                     else:
-                        _run_cell(row, dataset, spec, k, config, shared)
+                        _run_cell(row, dataset, spec, k, config, done)
                     report.rows.append(row)
-                shared.pop((algorithm, subset_size), None)
     return report
 
 
 def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, k: int,
-              config: BenchmarkConfig, shared: dict) -> None:
+              config: BenchmarkConfig, done: dict) -> None:
     """Fill row with one seed's clustering of its cell.
 
-    shared maps (algorithm, subset_size) to a seed-free embedding, stored
-    column-major and read-only (the layout lloyd reads in place), and its
-    build time in ms; and (algorithm, subset_size, seed) to a sampled row's
-    finished numbers, left there by its partner's cell.
+    done maps (algorithm, subset_size, seed) to a row's finished numbers,
+    left there by an earlier cell's build.
     """
-    algorithm, subset_size, seed = row.algorithm, row.subset_size, row.seed
-    if algorithm in _PARTNER:
-        numbers = shared.pop((algorithm, subset_size, seed), None)
-        if numbers is None:
-            numbers, theirs = _run_sampled(dataset, spec, algorithm, subset_size, seed, k, config)
-            if _PARTNER[algorithm] in config.algorithms:
-                shared[_PARTNER[algorithm], subset_size, seed] = theirs
-    else:
-        built = shared.get((algorithm, subset_size))
-        if built is None:
-            t0 = time.perf_counter()
-            embed = _EMBEDDINGS[algorithm](dataset, spec, subset_size, seed, config)
-            if algorithm in _SEED_FREE:
-                embed = np.asfortranarray(embed)
-                embed.flags.writeable = False
-            built = embed, (time.perf_counter() - t0) * 1e3
-            if algorithm in _SEED_FREE:
-                shared[algorithm, subset_size] = built
-        embed, factorize_ms = built
-        t1 = time.perf_counter()
-        model = lloyd(embed, k, seed, max_iter=config.max_iter)
-        numbers = (model.objective, _accuracy_of(model, dataset), embed.shape[1],
-                   factorize_ms, (time.perf_counter() - t1) * 1e3)
+    key = (row.algorithm, row.subset_size, row.seed)
+    if key not in done:
+        for served, numbers in _build_rows(dataset, spec, *key, k, config).items():
+            if served[0] in config.algorithms:
+                done[served] = numbers
+    numbers = done.pop(key)
     row.objective, row.accuracy, row.achieved_rank, row.factorize_ms, row.cluster_ms = numbers
     row.total_ms = row.factorize_ms + row.cluster_ms
 
 
-def _run_sampled(dataset: Dataset, spec: KernelSpec, algorithm: str, subset_size: int,
-                 seed: int, k: int, config: BenchmarkConfig) -> tuple[tuple, tuple]:
-    """The finished numbers of algorithm's row and of its partner's, from one
-    sample and one Lloyd run on its Nystrom rows Z = K_MB W.
+def _build_rows(dataset: Dataset, spec: KernelSpec, algorithm: str, subset_size: int,
+                seed: int, k: int, config: BenchmarkConfig) -> dict:
+    """(algorithm, subset_size, seed) -> finished numbers (objective,
+    accuracy, rank, factorize_ms, cluster_ms) of every row one build serves.
 
-    nystrom's factorize_ms covers the blocks and Z, its cluster_ms Lloyd;
-    approx's factorize_ms covers the blocks, its cluster_ms Z, Lloyd and the
-    residual.
+    A seed-free embedding, column-major and read-only (the layout lloyd reads
+    in place), is clustered from every seed; each row reports the build's
+    time as factorize_ms.  rff's features (subset size rounded up to even)
+    serve their own row.  A Nystrom sample serves the nystrom and approx rows
+    of its seed through one Lloyd run on Z = K_MB W.  nystrom's factorize_ms
+    covers the blocks and Z, its cluster_ms Lloyd; approx's factorize_ms
+    covers the blocks, its cluster_ms Z, Lloyd and the residual.
     """
     t0 = time.perf_counter()
-    K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
-    t1 = time.perf_counter()
-    Z = K_MB @ W
-    t2 = time.perf_counter()
-    model = lloyd(Z, k, seed, max_iter=config.max_iter)
-    t3 = time.perf_counter()
-    restricted = _approx_solve(dataset, spec, Z, W, model)
-    t4 = time.perf_counter()
-    score = _accuracy_of(model, dataset)
-    rows = {"nystrom": (model.objective, score, W.shape[1], (t2 - t0) * 1e3, (t3 - t2) * 1e3),
-            "approx": (restricted.objective, score, subset_size, (t1 - t0) * 1e3, (t4 - t1) * 1e3)}
-    return rows[algorithm], rows[_PARTNER[algorithm]]
+    if algorithm in ("nystrom", "approx"):
+        K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
+        t1 = time.perf_counter()
+        Z = K_MB @ W
+        t2 = time.perf_counter()
+        model = lloyd(Z, k, seed, max_iter=config.max_iter)
+        t3 = time.perf_counter()
+        restricted = _approx_solve(dataset, spec, Z, W, model)
+        t4 = time.perf_counter()
+        score = _accuracy_of(model, dataset)
+        return {("nystrom", subset_size, seed): (model.objective, score, W.shape[1],
+                                                 (t2 - t0) * 1e3, (t3 - t2) * 1e3),
+                ("approx", subset_size, seed): (restricted.objective, score, subset_size,
+                                                (t1 - t0) * 1e3, (t4 - t1) * 1e3)}
+    if algorithm == "rff":
+        embed, seeds = rff_embedding(dataset, spec, subset_size + subset_size % 2, seed), [seed]
+    else:
+        embed = np.asfortranarray(_SEED_FREE[algorithm](dataset, spec, subset_size, config))
+        embed.flags.writeable = False
+        seeds = range(config.num_seeds)
+    factorize_ms = (time.perf_counter() - t0) * 1e3
+    rows = {}
+    for cluster_seed in seeds:
+        t1 = time.perf_counter()
+        model = lloyd(embed, k, cluster_seed, max_iter=config.max_iter)
+        cluster_ms = (time.perf_counter() - t1) * 1e3
+        rows[algorithm, subset_size, cluster_seed] = (model.objective, _accuracy_of(model, dataset),
+                                                      embed.shape[1], factorize_ms, cluster_ms)
+    return rows
 
 
 def _accuracy_of(model: ClusterModel, dataset: Dataset) -> float | None:

@@ -212,12 +212,12 @@ def _scaling_ratios() -> tuple[float, float]:
 
 
 def test_criterion_08_complexity_scaling():
-    # The O(n s^2) row update is one BLAS matvec per step, which a threaded
-    # BLAS spreads over every core while the O(n) per-step passes stay on
-    # one, so a threaded wall-clock ratio measures how the threads split the
-    # work rather than how it grows.  BLAS sizes its thread pool when numpy
-    # loads, so the timing runs in a child interpreter started with BLAS on
-    # one thread.
+    # The O(n s^2) row update is one BLAS matrix product per 16-step block plus
+    # short per-step products over that block's rows, which a threaded BLAS
+    # spreads over every core while the O(n) per-step passes stay on one, so a
+    # threaded wall-clock ratio measures how the threads split the work rather
+    # than how it grows.  BLAS sizes its thread pool when numpy loads, so the
+    # timing runs in a child interpreter started with BLAS on one thread.
     t0 = time.perf_counter()
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))

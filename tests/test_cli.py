@@ -46,6 +46,17 @@ class TestSynth:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_mode_follows_the_umask(self, tmp_path, capsys, umask, mode):
+        out = tmp_path / "ring.libsvm"
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "synth", "ring", "5", "0.05", "0", str(out))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == mode
+
     def test_failed_rename_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def replace(src, dst):
             raise OSError("disk full")

@@ -1,8 +1,10 @@
 """Tests for scoring, diagnostics, and the benchmark harness."""
 
+import gc
 import itertools
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -401,6 +403,23 @@ class TestSeedFreeEmbeddingsShared:
                     group[0][0, 0] = 1.0
             else:
                 assert group[1] is not group[0]
+
+    def test_no_embedding_outlives_its_group(self, monkeypatch):
+        # one n x n embedding is 200 MB at n = 5,000, so only one may be alive
+        groups, alive = [], []
+
+        def recording_lloyd(points, k, seed, **kwargs):
+            if seed == 0:
+                gc.collect()
+                alive.append([ref() is not None for ref in groups])
+                groups.append(weakref.ref(points))
+            return lloyd(points, k, seed, **kwargs)
+
+        monkeypatch.setattr(evaluate, "lloyd", recording_lloyd)
+        cfg = shared_config(algorithms=["icf", "kernel", "chol", "rff"])
+        run_benchmark(cfg)
+        assert len(groups) == len(cfg.algorithms) * len(cfg.subset_sizes)
+        assert alive == [[False] * g for g in range(len(groups))]
 
     def test_guard_skipped_rows_build_nothing(self, monkeypatch):
         calls = self.counted(monkeypatch, ["oracle_embedding", "chol_embedding", "icf_factorize"])
