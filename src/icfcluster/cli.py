@@ -112,10 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icfcluster",
         description="Kernel k-means on incomplete Cholesky factors of the Gram matrix.",
+        allow_abbrev=False,  # a prefix must not stand for a flag: bench --seed is not --seeds
     )
     sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic LIBSVM dataset")
+    p = sub.add_parser("synth", allow_abbrev=False, help="generate a synthetic LIBSVM dataset")
     p.add_argument("kind", choices=("ring", "parabolic", "zigzag"))
     p.add_argument("per_cluster", type=int)
     p.add_argument("noise", type=float)
@@ -123,19 +124,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("factorize", help="factor the kernel matrix of a dataset")
+    p = sub.add_parser("factorize", allow_abbrev=False, help="factor the kernel matrix of a dataset")
     _dataset_args(p)
     p.add_argument("--out", help="write the factor dump here")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("cluster", help="kernel k-means via incomplete Cholesky")
+    p = sub.add_parser("cluster", allow_abbrev=False, help="kernel k-means via incomplete Cholesky")
     _dataset_args(p)
     p.add_argument("--clusters", type=int, default=2)
     p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="k-means++ seed")
     p.add_argument("--out", help="write one assignment per line here")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("bench", help="timed sweep over algorithms, sizes, seeds")
+    p = sub.add_parser("bench", allow_abbrev=False, help="timed sweep over algorithms, sizes, seeds")
     _dataset_args(p)
     p.add_argument("--clusters", type=int, default=2)
     p.add_argument("--max-iter", type=int, default=1000)
@@ -155,7 +157,6 @@ def _dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subset-size", default="50",
                    help="factor rank cap; bench accepts a comma-separated list")
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--standardize", action="store_true",
                    help="shift/scale each feature to mean 0, std 1 after loading")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _read_only, _ValueType
 from .icf import icf_factorize
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
@@ -27,7 +27,7 @@ _BLOCK_SIZE = 1 << 16
 
 
 @dataclass(eq=False)
-class ClusterModel:
+class ClusterModel(_ValueType):
     """A clustering: per-point assignments plus the centers that induced them.
 
     objective is the mean squared distance of points to their centers, which
@@ -50,14 +50,7 @@ class ClusterModel:
     def __post_init__(self):
         for name, dtype in (("assignments", np.int64), ("centers", np.float64),
                             ("objective_history", np.float64), ("moved_history", np.int64)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which freezes the arrays
-        return type(self), (self.assignments, self.centers, self.objective, self.iterations,
-                            self.converged, self.objective_history, self.moved_history)
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
 
     @property
     def k(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -37,8 +37,24 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+class _ValueType:
+    """Base of the read-only dataclasses: pickle and copy rebuild through the
+    constructor from every field, so the arrays are validated and frozen again
+    and cached properties are recomputed."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _read_only(value, dtype, copy: bool = True) -> np.ndarray:
+    """value as a read-only dtype array; copy=False freezes an array of that dtype in place."""
+    arr = np.array(value, dtype=dtype) if copy else np.asarray(value, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(eq=False)
-class Dataset:
+class Dataset(_ValueType):
     """Dense point matrix with optional integer labels.
 
     Arrays are frozen after construction so a Dataset can be shared freely.
@@ -54,9 +70,7 @@ class Dataset:
             raise ValueError(f"points must be a non-empty 2-d array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite values")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(np.ascontiguousarray(pts), np.float64))
         if self.labels is not None:
             lab = np.asarray(self.labels)
             if lab.shape != (pts.shape[0],):
@@ -65,14 +79,7 @@ class Dataset:
                 raise ValueError("labels must be integers")
             if lab.min() < 0:
                 raise ValueError("labels must be non-negative")
-            lab = lab.astype(np.int64)
-            lab.flags.writeable = False
-            object.__setattr__(self, "labels", lab)
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which freezes the
-        # arrays; the cached _centered is recomputed, not carried over
-        return type(self), (self.points, self.labels, self.name)
+            object.__setattr__(self, "labels", _read_only(lab, np.int64))
 
     @property
     def n(self) -> int:
@@ -87,8 +94,7 @@ class Dataset:
         """Read-only points minus their mean, feature-major (d x n), and their squared norms."""
         XT = np.ascontiguousarray((self.points - self.points.mean(axis=0)).T)
         sq = np.einsum("ji,ji->i", XT, XT)
-        XT.flags.writeable = sq.flags.writeable = False
-        return XT, sq
+        return _read_only(XT, np.float64, copy=False), _read_only(sq, np.float64, copy=False)
 
 
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import _approx_blocks, _approx_solve, chol_embedding, rff_embedding
 from .cluster import ClusterModel, lloyd, oracle_embedding, psd_embedding
-from .data import Dataset
+from .data import Dataset, _read_only
 from .icf import IcfFactor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
@@ -329,8 +329,8 @@ def _build_rows(dataset: Dataset, spec: KernelSpec, algorithm: str, subset_size:
     if algorithm == "rff":
         embed, seeds = rff_embedding(dataset, spec, subset_size + subset_size % 2, seed), [seed]
     else:
-        embed = np.asfortranarray(_SEED_FREE[algorithm](dataset, spec, subset_size, config))
-        embed.flags.writeable = False
+        embed = _read_only(np.asfortranarray(_SEED_FREE[algorithm](dataset, spec, subset_size, config)),
+                           np.float64, copy=False)
         seeds = range(config.num_seeds)
     factorize_ms = (time.perf_counter() - t0) * 1e3
     rows = {}

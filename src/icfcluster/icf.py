@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _read_only, _ValueType
 from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative; anything below this
@@ -60,7 +60,7 @@ class BreakdownError(RuntimeError):
 
 
 @dataclass(eq=False)
-class IcfFactor:
+class IcfFactor(_ValueType):
     """Result of an incomplete Cholesky run.
 
     Attributes:
@@ -81,10 +81,6 @@ class IcfFactor:
     def __post_init__(self):
         self._own(self.P, self.pivots, self.residual_diag, self.trace_history, copy=True)
 
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which freezes the arrays
-        return type(self), (self.P, self.pivots, self.residual_diag, self.trace_history, self.kernel_evals)
-
     @classmethod
     def _adopt(cls, P, pivots, residual_diag, trace_history, kernel_evals) -> IcfFactor:
         """Wrap arrays this module has just built, freezing them without a copy."""
@@ -99,11 +95,10 @@ class IcfFactor:
         The public constructor copies, so it never freezes or aliases an array
         its caller still holds.
         """
-        as_array = np.array if copy else np.asarray
-        P = as_array(P, dtype=np.float64)
-        pivots = as_array(pivots, dtype=np.int64)
-        diag = as_array(diag, dtype=np.float64)
-        hist = as_array(hist, dtype=np.float64)
+        P = _read_only(P, np.float64, copy)
+        pivots = _read_only(pivots, np.int64, copy)
+        diag = _read_only(diag, np.float64, copy)
+        hist = _read_only(hist, np.float64, copy)
         n, s = P.shape
         if pivots.shape != (s,) or len(np.unique(pivots)) != s:
             raise ValueError("pivots must be s distinct indices")
@@ -113,9 +108,7 @@ class IcfFactor:
             raise ValueError("residual_diag must have length n")
         if hist.shape != (s + 1,):
             raise ValueError("trace_history must have length s + 1")
-        for name, arr in (("P", P), ("pivots", pivots), ("residual_diag", diag), ("trace_history", hist)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        self.P, self.pivots, self.residual_diag, self.trace_history = P, pivots, diag, hist
 
     @property
     def n(self) -> int:

@@ -216,6 +216,14 @@ class TestErrorPaths:
         assert code == 1
         assert stderr == "error: invalid literal for int() with base 10: 'abc'\n"
 
+    @pytest.mark.parametrize("command", ["factorize", "bench"])
+    def test_seed_is_refused_outside_cluster(self, capsys, command):
+        # bench must not read --seed as an abbreviation of --seeds
+        with pytest.raises(SystemExit) as info:
+            main([command, "synth:ring:5:0.0:0", "--sigma", "1", "--seed", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_subset_size_beyond_n(self, capsys):
         code, _, stderr = run_cli(
             capsys, "factorize", "synth:ring:5:0.0:0", "--sigma", "1",

@@ -93,7 +93,7 @@ class TestLloyd:
         assert model.objective == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(model.assignments, np.zeros(20, dtype=np.int64))
 
-    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy])
     def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
         model = lloyd(rand_points(6, 30, 3), 3, seed=2)
         back = clone(model)

@@ -65,7 +65,7 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(pts, np.array([-1, 0]))  # negative
 
-    @pytest.mark.parametrize("clone", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy])
+    @pytest.mark.parametrize("clone", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy, copy.copy])
     def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
         ds = Dataset(np.random.default_rng(3).normal(size=(6, 2)), np.arange(6) % 3, name="toy")
         XT, sq = ds._centered

@@ -710,7 +710,7 @@ class TestValidation:
             assert given.flags.writeable
             assert not np.shares_memory(given, kept)
 
-    @pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy])
+    @pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy])
     def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
         ds = Dataset(np.random.default_rng(5).normal(size=(12, 2)))
         f = icf_factorize(ds, KernelSpec(sigma=0.5), max_rank=4)
