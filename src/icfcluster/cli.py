@@ -79,7 +79,7 @@ def cmd_bench(args) -> int:
     dataset = _load_dataset(args)
     guard = max(DEFAULT_GUARD, dataset.n) if args.allow_full_gram else DEFAULT_GUARD
     config = BenchmarkConfig(
-        datasets=[dataset],
+        dataset=dataset,
         algorithms=tuple(args.algorithms.split(",")),
         subset_sizes=tuple(int(s) for s in args.subset_size.split(",")),
         sigma=args.sigma,

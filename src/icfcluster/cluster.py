@@ -68,10 +68,8 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     factor's P) is read in place, other layouts are copied once, so the
     draws do not depend on the layout.
     """
-    points = np.asfortranarray(points, dtype=np.float64)
+    points = _checked_points(points, k)
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     dists = _center_dists(points)
@@ -116,10 +114,8 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n.  The returned objective
     is the direct mean squared distance, so an exact fit gives exactly 0.
     """
-    points = np.asfortranarray(points, dtype=np.float64)
+    points = _checked_points(points, k)
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     centers = kmeans_pp_init(points, k, seed)
@@ -159,6 +155,16 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     objective = float(_sq_dists(points, centers, assign).sum()) / n
     return ClusterModel(assign, centers, objective, len(objectives), converged,
                         np.array(objectives), np.array(moves, dtype=np.int64))
+
+
+def _checked_points(points, k: int) -> np.ndarray:
+    """points as a column-major float64 n x s array, for k in [1, n]."""
+    points = np.asfortranarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be a 2-d n x s array, got {points.ndim}-d")
+    if not 1 <= k <= points.shape[0]:
+        raise ValueError(f"k must be in [1, {points.shape[0]}], got {k}")
+    return points
 
 
 def icf_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
@@ -237,6 +243,7 @@ def _add_moves(shift: np.ndarray, points: np.ndarray, mean: np.ndarray, changed:
         shift += (_one_hot(new[idx], k) - _one_hot(old[idx], k)) @ block
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _center_dists(points: np.ndarray):
     """A function giving the squared distances of all rows to row i.
 
@@ -244,14 +251,18 @@ def _center_dists(points: np.ndarray):
     m: ||p - m||^2 + ||c - m||^2 - 2 (c - m).(p - m).  Values within that
     form's rounding bound of 0, negative ones included, are recomputed by
     differences, so every value is >= 0 and a row equal to row i gets
-    exactly 0.
+    exactly 0.  NaN, inf and overflow are a ValueError, not numpy's warning.
     """
     s = points.shape[1]
     mean = points.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise ValueError("points hold NaN or inf, or their mean overflows")
     spread = _sq_dists(points, mean)
     # each term of the form is a sum of s products of entries bounded by
     # |p - m|, |c - m| (both at most sqrt(r2)) and |m|
     r2 = float(spread.max())
+    if not np.isfinite(r2):
+        raise ValueError(f"points spread too far: a squared distance to their mean is {r2}")
     near = 8.0 * s * np.finfo(np.float64).eps * (2.0 * r2 + np.sqrt(r2) * float(np.linalg.norm(mean)))
 
     def dists(i: int) -> np.ndarray:

@@ -112,7 +112,9 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
         source: str, bytes, file-like object, or path to a file.  Bytes, and
             the bytes of a path or a binary file, are decoded as UTF-8 one
             block at a time; a text-mode file decodes inside its own read, so
-            its decoding errors name no line.  LF and CRLF endings are accepted.
+            its decoding errors name no line.  Lines, and so line numbers, are
+            those of str.splitlines: a line ends at LF, CRLF, a bare CR, \\x0b,
+            \\x0c, \\x1c-\\x1e, \\x85, \\u2028 or \\u2029.
         num_features: optional fixed width, at least 1; defaults to the
             largest index seen.
         name: dataset name to attach.

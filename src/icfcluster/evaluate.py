@@ -9,12 +9,12 @@ bound_gap compares the objective degradation caused by factoring against its
 a-priori limit 2 sqrt(k) tr(K - P P^T) / n.  fit_decay checks how close a
 residual-trace history is to exponential.
 
-run_benchmark times every (dataset, algorithm, subset_size, seed) cell with
-separate factorization and clustering stages and renders rows as CSV.  One
-build fills every row it serves, and each row's numbers are taken once: an
-embedding that ignores the seed (icf, kernel, chol) serves every seed of its
-(algorithm, subset_size), a Nystrom sample serves the nystrom and approx rows
-of its seed, and rff's features serve their own row.
+run_benchmark sweeps one dataset: it times every (algorithm, subset_size,
+seed) cell with separate factorization and clustering stages and renders rows
+as CSV.  One build fills every row it serves, and each row's numbers are taken
+once: an embedding that ignores the seed (icf, kernel, chol) serves every seed
+of its (algorithm, subset_size), a Nystrom sample serves the nystrom and
+approx rows of its seed, and rff's features serve their own row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,16 +188,13 @@ def fit_decay(trace_history: np.ndarray) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """What to run: the cross product of datasets, algorithms, sizes, seeds.
+    """What to run: one dataset per sweep, over every algorithm, size and seed."""
 
-    sigma and clusters may be single values or per-dataset-name mappings.
-    """
-
-    datasets: Sequence[Dataset]
+    dataset: Dataset
     algorithms: Sequence[str]
     subset_sizes: Sequence[int]
-    sigma: float | Mapping[str, float]
-    clusters: int | Mapping[str, int]
+    sigma: float
+    clusters: int
     num_seeds: int = 10
     epsilon: float = 1e-3
     max_iter: int = 1000
@@ -242,9 +239,9 @@ class BenchmarkReport:
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
-    """Run every cell of the configured sweep and collect timed rows.
+    """Run every cell of the configured one-dataset sweep and collect timed rows.
 
-    Full-matrix algorithms on datasets beyond the guard produce rows marked
+    Full-matrix algorithms on a dataset beyond the guard produce rows marked
     skipped (empty metrics) instead of failing the sweep.  All randomness is
     derived from the per-row seed, so metric columns are reproducible; only
     the timing columns vary between runs.  An approx sweep with k outside
@@ -257,32 +254,25 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if "approx" in config.algorithms:
-        for dataset in config.datasets:
-            k = _per_dataset(config.clusters, dataset.name)
-            for subset_size in config.subset_sizes:
-                if not 1 <= k <= subset_size:
-                    raise ValueError(f"approx needs k in [1, subset_size={subset_size}], got k={k}")
-    report = BenchmarkReport()
-    for dataset in config.datasets:
-        spec = KernelSpec("gaussian", _per_dataset(config.sigma, dataset.name))
-        k = _per_dataset(config.clusters, dataset.name)
-        _warmup(dataset, spec)
-        done = {}
-        for algorithm in config.algorithms:
-            for subset_size in config.subset_sizes:
-                for seed in range(config.num_seeds):
-                    row = BenchmarkRow(dataset.name, algorithm, subset_size, seed)
-                    if algorithm in _FULL_MATRIX and dataset.n > config.guard:
-                        row.skipped = True
-                    else:
-                        _run_cell(row, dataset, spec, k, config, done)
-                    report.rows.append(row)
+    for subset_size in config.subset_sizes:
+        if "approx" in config.algorithms and not 1 <= config.clusters <= subset_size:
+            raise ValueError(f"approx needs k in [1, subset_size={subset_size}], got k={config.clusters}")
+    dataset, spec = config.dataset, KernelSpec("gaussian", config.sigma)
+    _warmup(dataset, spec)
+    report, done = BenchmarkReport(), {}
+    for algorithm in config.algorithms:
+        for subset_size in config.subset_sizes:
+            for seed in range(config.num_seeds):
+                row = BenchmarkRow(dataset.name, algorithm, subset_size, seed)
+                if algorithm in _FULL_MATRIX and dataset.n > config.guard:
+                    row.skipped = True
+                else:
+                    _run_cell(row, spec, config, done)
+                report.rows.append(row)
     return report
 
 
-def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, k: int,
-              config: BenchmarkConfig, done: dict) -> None:
+def _run_cell(row: BenchmarkRow, spec: KernelSpec, config: BenchmarkConfig, done: dict) -> None:
     """Fill row with one seed's clustering of its cell.
 
     done maps (algorithm, subset_size, seed) to a row's finished numbers,
@@ -290,7 +280,7 @@ def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, k: int,
     """
     key = (row.algorithm, row.subset_size, row.seed)
     if key not in done:
-        for served, numbers in _build_rows(dataset, spec, *key, k, config).items():
+        for served, numbers in _build_rows(spec, *key, config).items():
             if served[0] in config.algorithms:
                 done[served] = numbers
     numbers = done.pop(key)
@@ -298,8 +288,8 @@ def _run_cell(row: BenchmarkRow, dataset: Dataset, spec: KernelSpec, k: int,
     row.total_ms = row.factorize_ms + row.cluster_ms
 
 
-def _build_rows(dataset: Dataset, spec: KernelSpec, algorithm: str, subset_size: int,
-                seed: int, k: int, config: BenchmarkConfig) -> dict:
+def _build_rows(spec: KernelSpec, algorithm: str, subset_size: int, seed: int,
+                config: BenchmarkConfig) -> dict:
     """(algorithm, subset_size, seed) -> finished numbers (objective,
     accuracy, rank, factorize_ms, cluster_ms) of every row one build serves.
 
@@ -311,6 +301,7 @@ def _build_rows(dataset: Dataset, spec: KernelSpec, algorithm: str, subset_size:
     covers the blocks and Z, its cluster_ms Lloyd; approx's factorize_ms
     covers the blocks, its cluster_ms Z, Lloyd and the residual.
     """
+    dataset, k = config.dataset, config.clusters
     t0 = time.perf_counter()
     if algorithm in ("nystrom", "approx"):
         K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
@@ -351,12 +342,6 @@ def _warmup(dataset: Dataset, spec: KernelSpec) -> None:
     """One small untimed factorization so first-use costs stay out of rows."""
     head = Dataset(dataset.points[: min(dataset.n, 64)], name="warmup")
     icf_factorize(head, spec, max_rank=min(2, head.n), epsilon=1e-30)
-
-
-def _per_dataset(value, name: str):
-    if isinstance(value, Mapping):
-        return value[name]
-    return value
 
 
 def _indicator(assignments: np.ndarray, k: int) -> np.ndarray:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from icfcluster import KernelSpec, gen_synthetic, icf_factorize, parse_factor_dump, parse_libsvm
+from icfcluster import (BenchmarkConfig, KernelSpec, gen_synthetic, icf_factorize, parse_factor_dump,
+                        parse_libsvm, run_benchmark)
 from icfcluster.cli import main
 
 
@@ -171,6 +172,34 @@ class TestBench:
         assert f"wrote {out}: 2 rows" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == 3
+
+    def test_full_gram_rows_are_skipped_beyond_the_guard(self, capsys):
+        # 2 x 2,501 points: n = 5,002 is past the n = 5,000 guard
+        code, stdout, _ = run_cli(
+            capsys, "bench", "synth:ring:2501:0.05:0", "--sigma", "16", "--subset-size", "5",
+            "--clusters", "2", "--seeds", "1", "--algorithms", "kernel,icf")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[1] == "ring,kernel,5,0,,,,,,"
+        icf = lines[2].split(",")
+        assert icf[:4] == ["ring", "icf", "5", "0"] and all(icf[4:])
+        assert lines[3].startswith("algorithm=kernel rows=1 skipped=1 ")
+
+    def test_flags_reach_the_benchmark_config(self, capsys):
+        spec = "synth:ring:30:0.05:2"
+        code, stdout, _ = run_cli(
+            capsys, "bench", spec, "--sigma", "0.5", "--subset-size", "8,12", "--clusters", "3",
+            "--epsilon", "0.5", "--max-iter", "2", "--seeds", "2",
+            "--algorithms", "icf,kernel,nystrom,rff,approx")
+        assert code == 0
+        config = BenchmarkConfig(dataset=gen_synthetic("ring", 30, 0.05, 2),
+                                 algorithms=("icf", "kernel", "nystrom", "rff", "approx"),
+                                 subset_sizes=(8, 12), sigma=0.5, clusters=3, num_seeds=2,
+                                 epsilon=0.5, max_iter=2)
+        expected = run_benchmark(config).to_csv().splitlines()
+        got = [l for l in stdout.splitlines() if not l.startswith("algorithm=")]
+        assert len(got) == len(expected) == 1 + 5 * 2 * 2
+        assert [l.split(",")[:7] for l in got] == [l.split(",")[:7] for l in expected]
 
     def test_unknown_algorithm_exits_one(self, capsys):
         code, _, stderr = run_cli(

@@ -186,6 +186,21 @@ class TestLloyd:
         with pytest.raises(ValueError):
             lloyd(pts, 2, seed=0, max_iter=0)
 
+    @pytest.mark.parametrize("fit", [lloyd, kmeans_pp_init])
+    @pytest.mark.parametrize("points, k, cause", [
+        ([[np.nan], [1.0]], 1, "NaN or inf"),
+        ([[np.inf], [1.0], [2.0]], 2, "NaN or inf"),
+        ([[1.0, -np.inf], [1.0, 2.0]], 1, "NaN or inf"),
+        ([[1e308], [1e308]], 1, "mean overflows"),
+        ([[1e200], [-1e200]], 2, "spread too far"),
+        (np.array([1.0, 2.0, 3.0]), 2, "2-d n x s array, got 1-d"),
+        (np.ones((2, 2, 1)), 1, "2-d n x s array, got 3-d"),
+    ])
+    def test_bad_points_are_refused_by_name(self, fit, points, k, cause):
+        # raised before numpy warns, so no RuntimeWarning precedes the error
+        with pytest.raises(ValueError, match=cause):
+            fit(points, k, seed=0)
+
     def test_history_defaults_to_empty_and_is_read_only(self):
         model = ClusterModel([0, 1], [[0.0], [1.0]], 0.0, 1, True)
         assert model.objective_history.shape == model.moved_history.shape == (0,)

@@ -235,14 +235,14 @@ def small_labeled_dataset() -> Dataset:
 
 class TestRunBenchmark:
     def test_row_cardinality_is_the_cross_product(self):
-        cfg = BenchmarkConfig(datasets=[small_labeled_dataset()],
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(),
                               algorithms=["icf", "nystrom"],
                               subset_sizes=[5, 10, 20], sigma=0.5, clusters=2)
         report = run_benchmark(cfg)
         assert len(report.rows) == 1 * 2 * 3 * 10
 
     def test_metric_columns_reproducible(self):
-        cfg = BenchmarkConfig(datasets=[small_labeled_dataset()],
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(),
                               algorithms=["icf", "nystrom", "rff", "approx"],
                               subset_sizes=[5, 10], sigma=0.5, clusters=2, num_seeds=3)
         a = run_benchmark(cfg).rows
@@ -255,7 +255,7 @@ class TestRunBenchmark:
             assert ra.achieved_rank == rb.achieved_rank
 
     def test_csv_header_and_row_shape(self):
-        cfg = BenchmarkConfig(datasets=[small_labeled_dataset()], algorithms=["icf"],
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(), algorithms=["icf"],
                               subset_sizes=[5], sigma=0.5, clusters=2, num_seeds=1)
         csv = run_benchmark(cfg).to_csv()
         lines = csv.splitlines()
@@ -273,7 +273,7 @@ class TestRunBenchmark:
             assert whole.isdigit() and len(frac) == 3
 
     def test_full_matrix_algorithms_skipped_beyond_guard(self):
-        cfg = BenchmarkConfig(datasets=[small_labeled_dataset()],
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(),
                               algorithms=["kernel", "chol", "icf"],
                               subset_sizes=[5], sigma=0.5, clusters=2,
                               num_seeds=2, guard=30)
@@ -288,28 +288,21 @@ class TestRunBenchmark:
 
     def test_unlabeled_dataset_leaves_accuracy_empty(self):
         ds = Dataset(small_labeled_dataset().points, name="anon")
-        cfg = BenchmarkConfig(datasets=[ds], algorithms=["icf"], subset_sizes=[5],
+        cfg = BenchmarkConfig(dataset=ds, algorithms=["icf"], subset_sizes=[5],
                               sigma=0.5, clusters=2, num_seeds=1)
         report = run_benchmark(cfg)
         assert report.rows[0].accuracy is None
         fields = report.to_csv().splitlines()[1].split(",")
         assert fields[4] == "" and fields[5] != ""
 
-    def test_per_dataset_parameter_mappings(self):
-        ds = small_labeled_dataset()
-        cfg = BenchmarkConfig(datasets=[ds], algorithms=["icf"], subset_sizes=[5],
-                              sigma={"blobs": 0.5}, clusters={"blobs": 2}, num_seeds=1)
-        report = run_benchmark(cfg)
-        assert report.rows[0].accuracy == 1.0
-
     def test_rff_rounds_subset_size_up_to_even(self):
-        cfg = BenchmarkConfig(datasets=[small_labeled_dataset()], algorithms=["rff"],
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(), algorithms=["rff"],
                               subset_sizes=[5], sigma=0.5, clusters=2, num_seeds=1)
         report = run_benchmark(cfg)
         assert report.rows[0].achieved_rank == 6
 
     def test_unknown_algorithm_rejected(self):
-        cfg = BenchmarkConfig(datasets=[small_labeled_dataset()], algorithms=["svd"],
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(), algorithms=["svd"],
                               subset_sizes=[5], sigma=0.5, clusters=2)
         with pytest.raises(ValueError):
             run_benchmark(cfg)
@@ -319,7 +312,7 @@ ALL_ALGORITHMS = ["icf", "kernel", "chol", "nystrom", "rff", "approx"]
 
 
 def shared_config(**overrides) -> BenchmarkConfig:
-    fields = dict(datasets=[small_labeled_dataset()], algorithms=ALL_ALGORITHMS,
+    fields = dict(dataset=small_labeled_dataset(), algorithms=ALL_ALGORITHMS,
                   subset_sizes=[5, 10], sigma=0.5, clusters=2, num_seeds=3)
     fields.update(overrides)
     return BenchmarkConfig(**fields)
@@ -354,7 +347,7 @@ class TestSeedFreeEmbeddingsShared:
 
     def test_metric_columns_equal_direct_runs(self):
         cfg = shared_config()
-        ds, spec, k = cfg.datasets[0], KernelSpec("gaussian", cfg.sigma), cfg.clusters
+        ds, spec, k = cfg.dataset, KernelSpec("gaussian", cfg.sigma), cfg.clusters
         for row in run_benchmark(cfg).rows:
             size, seed = row.subset_size, row.seed
             if row.algorithm == "approx":
@@ -438,7 +431,7 @@ class TestSampledPairShared:
                                             ["nystrom"], ["approx"]])
     def test_rows_equal_direct_runs_from_one_sample(self, monkeypatch, algorithms):
         cfg = shared_config(algorithms=algorithms)
-        ds, spec, k = cfg.datasets[0], KernelSpec("gaussian", cfg.sigma), cfg.clusters
+        ds, spec, k = cfg.dataset, KernelSpec("gaussian", cfg.sigma), cfg.clusters
         columns = []
 
         def counting_column(spec, dataset, t):
