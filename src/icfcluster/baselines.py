@@ -27,25 +27,24 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_column, kernel_
 
 
 def kernel_chol_kmeans(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
-                       max_iter: int = 1000, tol: float = 1e-6,
-                       guard: int = DEFAULT_GUARD) -> ClusterModel:
+                       max_iter: int = 1000, guard: int = DEFAULT_GUARD) -> ClusterModel:
     """Exact kernel k-means through a dense Cholesky factor of K."""
     L = chol_embedding(dataset, spec, guard=guard)
-    return lloyd(L, k, seed, max_iter=max_iter, tol=tol)
+    return lloyd(L, k, seed, max_iter=max_iter)
 
 
 def nystrom_kmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                   max_iter: int = 1000, tol: float = 1e-6) -> ClusterModel:
+                   max_iter: int = 1000) -> ClusterModel:
     """Kernel k-means on the Nystrom embedding from a uniform sample."""
     embed = nystrom_embedding(dataset, spec, subset_size, seed)
-    return lloyd(embed, k, seed, max_iter=max_iter, tol=tol)
+    return lloyd(embed, k, seed, max_iter=max_iter)
 
 
 def rff_kmeans(dataset: Dataset, spec: KernelSpec, num_features: int, k: int, seed: int,
-               max_iter: int = 1000, tol: float = 1e-6) -> ClusterModel:
+               max_iter: int = 1000) -> ClusterModel:
     """Kernel k-means on a random Fourier feature embedding (Gaussian only)."""
     embed = rff_embedding(dataset, spec, num_features, seed)
-    return lloyd(embed, k, seed, max_iter=max_iter, tol=tol)
+    return lloyd(embed, k, seed, max_iter=max_iter)
 
 
 def chol_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUARD) -> np.ndarray:
@@ -98,7 +97,7 @@ def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: i
 
 
 def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                   max_iter: int = 1000, tol: float = 1e-6) -> ClusterModel:
+                   max_iter: int = 1000) -> ClusterModel:
     """Kernel k-means with centers confined to the span of a sampled subset.
 
     Returns a ClusterModel whose centers are the k x subset_size combination
@@ -110,7 +109,7 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
         raise ValueError(f"k must be in [1, subset_size={subset_size}], got {k}")
     K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
     Z = K_MB @ W
-    return _approx_solve(dataset, spec, Z, W, lloyd(Z, k, seed, max_iter=max_iter, tol=tol))
+    return _approx_solve(dataset, spec, Z, W, lloyd(Z, k, seed, max_iter=max_iter))
 
 
 def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int):

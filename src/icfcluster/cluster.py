@@ -9,6 +9,7 @@ results are comparable across embeddings that agree on pairwise distances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,10 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 # treated as zero when embedding a PSD matrix
 EIG_CLAMP = 1e-12
 
+# Lloyd stops after an iteration that lowers its objective by at most this
+# fraction of it
+TOL = 1e-6
+
 # entries per block of the difference passes in _sq_dists and of the moved
 # points gathered by _add_moves (512 KB)
 _BLOCK_SIZE = 1 << 16
@@ -32,7 +37,7 @@ class ClusterModel(_ValueType):
 
     objective is the mean squared distance of points to their centers, which
     for an embedding with Gram matrix K equals the kernel k-means objective.
-    lloyd also records, per iteration, the objective its tol test used
+    lloyd also records, per iteration, the objective its TOL test used
     (objective_history) and how many points changed cluster before that
     iteration's center update (moved_history; the first entry is n, as
     every point is placed).  Both have length iterations and default to
@@ -63,38 +68,44 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     The first center is uniform; each later one is drawn with probability
     proportional to squared distance from the nearest chosen center.  When
     every remaining point coincides with a chosen center the draw falls back
-    to uniform over the unchosen indices.  Each chosen center costs one
-    n x s matrix-vector product (_center_dists).  A column-major input (a
-    factor's P) is read in place, other layouts are copied once, so the
-    draws do not depend on the layout.
+    to uniform over the unchosen indices.  Each chosen center c costs one
+    n x s matrix-vector product about the points' mean m,
+    ||p - m||^2 + ||c - m||^2 - 2 (c - m).(p - m); values within its rounding
+    bound of 0 are recomputed by differences, so each is >= 0 and a duplicate
+    of a chosen center gets exactly 0.  The input is read as lloyd reads it.
     """
-    points = _checked_points(points, k)
+    points, mean, spread, near = _prepared(points, k)
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    dists = _center_dists(points)
     d2 = np.full(n, np.inf)
     for _ in range(1, k):
-        np.minimum(d2, dists(chosen[-1]), out=d2)
+        i = chosen[-1]
+        offset = points[i] - mean
+        dists = points @ (-2.0 * offset)
+        dists += spread + (spread[i] + 2.0 * float(offset @ mean))
+        redo = np.flatnonzero(dists <= near)
+        dists[redo] = _sq_dists(points[redo], points[i])
+        np.minimum(d2, dists, out=d2)
         d2[chosen] = 0.0
         total = float(d2.sum())
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
-            remaining = np.setdiff1d(np.arange(n), chosen)
-            idx = int(rng.choice(remaining))
+            idx = int(rng.choice(np.setdiff1d(np.arange(n), chosen)))
         chosen.append(idx)
     return points[chosen].copy()
 
 
-def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: float = 1e-6) -> ClusterModel:
+def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000) -> ClusterModel:
     """Standard Lloyd iteration with k-means++ start and empty-cluster repair.
 
-    Converges on an assignment fixpoint or when the relative objective change
-    drops below tol; the per-iteration objective never increases.  An emptied
-    cluster is reseeded to the point farthest from its previous center (drawn
-    from clusters that can spare a member), so returned assignments always
-    cover all k ids.
+    Converges on an assignment fixpoint, or after an iteration that lowers
+    the objective by at most TOL of it; the per-iteration objective never
+    increases (a rise by rounding is recorded as no change).  An emptied
+    cluster is reseeded to the point farthest from its previous center
+    (drawn from clusters that can spare a member), so returned assignments
+    always cover all k ids.
 
     Points are used in column-major order: a factor's P is read in place,
     other layouts are copied once, so results do not depend on the layout
@@ -106,21 +117,20 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
     a k x n one-hot matrix times the points and are kept apart from the
     updates, so a cluster no point has entered or left keeps them exactly;
     the centers are always the sums over the counts.  Both the assignment
-    and the tol test work about the mean m of the points, so their rounding
+    and the TOL test work about the mean m of the points, so their rounding
     error scales with the points' spread, not with their distance from the
     origin: a point goes to
     argmin_j ||c_j - m||^2 - 2 (c_j - m).p + 2 (c_j - m).m, which is
-    ||p - c_j||^2 - ||p - m||^2, and the tol test uses the objective
+    ||p - c_j||^2 - ||p - m||^2, and the TOL test uses the objective
     (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n.  The returned objective
     is the direct mean squared distance, so an exact fit gives exactly 0.
     """
-    points = _checked_points(points, k)
+    points, mean, spread, _ = _prepared(points, k)
     n = points.shape[0]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     centers = kmeans_pp_init(points, k, seed)
-    mean = points.mean(axis=0)
-    spread = float(_sq_dists(points, mean).sum())
+    spread = float(spread.sum())
     offsets = centers - mean
     norms = np.einsum("ij,ij->i", offsets, offsets)
     assign = None
@@ -146,10 +156,11 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
         centers = (first + (shift + (counts - first_counts)[:, None] * mean)) / counts[:, None]
         offsets = centers - mean
         norms = np.einsum("ij,ij->i", offsets, offsets)
-        obj = max(spread - float(counts @ norms), 0.0) / n
+        # exact Lloyd, repair included, never raises the objective: a rise is rounding
+        obj = min([max(spread - float(counts @ norms), 0.0) / n, *objectives[-1:]])
         objectives.append(obj)
         moves.append(moved)
-        if len(objectives) > 1 and objectives[-2] - obj <= tol * objectives[-2]:
+        if len(objectives) > 1 and objectives[-2] - obj <= TOL * objectives[-2]:
             converged = True
             break
     objective = float(_sq_dists(points, centers, assign).sum()) / n
@@ -157,30 +168,19 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000, tol: floa
                         np.array(objectives), np.array(moves, dtype=np.int64))
 
 
-def _checked_points(points, k: int) -> np.ndarray:
-    """points as a column-major float64 n x s array, for k in [1, n]."""
-    points = np.asfortranarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be a 2-d n x s array, got {points.ndim}-d")
-    if not 1 <= k <= points.shape[0]:
-        raise ValueError(f"k must be in [1, {points.shape[0]}], got {k}")
-    return points
-
-
 def icf_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                epsilon: float = 1e-3, max_iter: int = 1000, tol: float = 1e-6) -> ClusterModel:
+                epsilon: float = 1e-3, max_iter: int = 1000) -> ClusterModel:
     """Kernel k-means via incomplete Cholesky: factorize, then cluster rows of P.
 
     subset_size caps the factor rank; the achieved rank (centers.shape[1]) can
     be smaller when the residual trace hits epsilon first.
     """
     factor = icf_factorize(dataset, spec, max_rank=subset_size, epsilon=epsilon)
-    return lloyd(factor.P, k, seed, max_iter=max_iter, tol=tol)
+    return lloyd(factor.P, k, seed, max_iter=max_iter)
 
 
 def kernel_kmeans_oracle(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
-                         max_iter: int = 1000, tol: float = 1e-6,
-                         guard: int = DEFAULT_GUARD) -> ClusterModel:
+                         max_iter: int = 1000, guard: int = DEFAULT_GUARD) -> ClusterModel:
     """Exact kernel k-means on the full Gram matrix (guarded; for reference).
 
     Embeds points as rows of U sqrt(D) from the eigendecomposition of K, with
@@ -188,7 +188,7 @@ def kernel_kmeans_oracle(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
     the same Lloyd code as the factored path.
     """
     embed = oracle_embedding(dataset, spec, guard=guard)
-    return lloyd(embed, k, seed, max_iter=max_iter, tol=tol)
+    return lloyd(embed, k, seed, max_iter=max_iter)
 
 
 def oracle_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUARD) -> np.ndarray:
@@ -243,37 +243,33 @@ def _add_moves(shift: np.ndarray, points: np.ndarray, mean: np.ndarray, changed:
         shift += (_one_hot(new[idx], k) - _one_hot(old[idx], k)) @ block
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _center_dists(points: np.ndarray):
-    """A function giving the squared distances of all rows to row i.
+def _prepared(points, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(points as a column-major float64 n x s array, their mean m,
+    spread[i] = ||p_i - m||^2, near: the rounding bound of kmeans_pp_init's
+    form) for k in [1, n], or a ValueError naming the cause before numpy warns.
 
-    Each call is one matrix-vector product over the points about their mean
-    m: ||p - m||^2 + ||c - m||^2 - 2 (c - m).(p - m).  Values within that
-    form's rounding bound of 0, negative ones included, are recomputed by
-    differences, so every value is >= 0 and a row equal to row i gets
-    exactly 0.  NaN, inf and overflow are a ValueError, not numpy's warning.
+    Every center lies within sqrt(r2) of m, r2 = max(spread), so an entry of
+    either function's products is at most 4 (r2 + sqrt(r2) ||m||) in size
+    and a sum over the points at most 4 n r2: input for which
+    4 (n r2 + sqrt(r2) ||m||) overflows is refused.
     """
-    s = points.shape[1]
-    mean = points.mean(axis=0)
-    if not np.isfinite(mean).all():
-        raise ValueError("points hold NaN or inf, or their mean overflows")
-    spread = _sq_dists(points, mean)
-    # each term of the form is a sum of s products of entries bounded by
-    # |p - m|, |c - m| (both at most sqrt(r2)) and |m|
-    r2 = float(spread.max())
-    if not np.isfinite(r2):
-        raise ValueError(f"points spread too far: a squared distance to their mean is {r2}")
-    near = 8.0 * s * np.finfo(np.float64).eps * (2.0 * r2 + np.sqrt(r2) * float(np.linalg.norm(mean)))
-
-    def dists(i: int) -> np.ndarray:
-        offset = points[i] - mean
-        out = points @ (-2.0 * offset)
-        out += spread + (spread[i] + 2.0 * float(offset @ mean))
-        redo = np.flatnonzero(out <= near)
-        out[redo] = _sq_dists(points[redo], points[i])
-        return out
-
-    return dists
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.asfortranarray(points, dtype=np.float64)
+        if points.ndim != 2:
+            raise ValueError(f"points must be a 2-d n x s array, got {points.ndim}-d")
+        n, s = points.shape
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+        mean = points.mean(axis=0)
+        if not np.isfinite(mean).all():
+            raise ValueError("points hold NaN or inf, or their mean overflows")
+        spread = _sq_dists(points, mean)
+        r2 = float(spread.max())
+        norm = math.hypot(*mean)
+        if not math.isfinite(4.0 * (n * r2 + math.sqrt(r2) * norm)):
+            raise ValueError(f"points spread too far: squared distance {r2} to a mean of norm {norm}")
+        near = 8.0 * s * np.finfo(np.float64).eps * (2.0 * r2 + np.sqrt(r2) * float(np.linalg.norm(mean)))
+    return points, mean, spread, near
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None = None) -> np.ndarray:

@@ -245,12 +245,17 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     skipped (empty metrics) instead of failing the sweep.  All randomness is
     derived from the per-row seed, so metric columns are reproducible; only
     the timing columns vary between runs.  An approx sweep with k outside
-    [1, subset_size] is refused before any cell runs, as approx_kkmeans would.
+    [1, subset_size] is refused before any cell runs, as approx_kkmeans would,
+    and so is a sweep with no seeds or an empty or repeating list.
 
     Each row takes its numbers from the first build that serves it
     (_build_rows), once.  Only finished numbers are kept between cells, so an
     embedding lives only inside its build.
     """
+    for name, rows in (("num_seeds", range(config.num_seeds)), ("algorithms", config.algorithms),
+                       ("subset_sizes", config.subset_sizes)):
+        if not rows or len(set(rows)) < len(rows):
+            raise ValueError(f"{name} must give one or more rows, each once, got {getattr(config, name)!r}")
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

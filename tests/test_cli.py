@@ -208,6 +208,21 @@ class TestBench:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("flags", [
+        ["--subset-size", "5", "--seeds", "0"],
+        ["--subset-size", "5", "--seeds", "-2"],
+        ["--subset-size", "5,5"],
+        ["--subset-size", "5", "--algorithms", "icf,icf"],
+    ], ids=["no-seeds", "negative-seeds", "repeated-size", "repeated-algorithm"])
+    def test_a_sweep_without_rows_or_with_repeated_rows_exits_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "report.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "bench", "synth:ring:10:0:0", "--sigma", "1", *flags, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestErrorPaths:
     def test_missing_dataset_file(self, capsys):

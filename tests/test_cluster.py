@@ -195,6 +195,7 @@ class TestLloyd:
         ([[1e200], [-1e200]], 2, "spread too far"),
         (np.array([1.0, 2.0, 3.0]), 2, "2-d n x s array, got 1-d"),
         (np.ones((2, 2, 1)), 1, "2-d n x s array, got 3-d"),
+        (1e160 + 1e150 * np.random.default_rng(0).normal(size=(20, 2)), 3, "spread too far"),
     ])
     def test_bad_points_are_refused_by_name(self, fit, points, k, cause):
         # raised before numpy warns, so no RuntimeWarning precedes the error

@@ -307,6 +307,26 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_seeds", 0),
+        ("num_seeds", -3),
+        ("algorithms", ()),
+        ("algorithms", ["icf", "nystrom", "icf"]),
+        ("subset_sizes", ()),
+        ("subset_sizes", [5, 5]),
+    ])
+    def test_a_sweep_without_rows_or_with_repeated_rows_is_refused_by_name(self, monkeypatch,
+                                                                             field, value):
+        built = []
+        monkeypatch.setattr(evaluate, "_run_cell", lambda *args: built.append(args))
+        monkeypatch.setattr(evaluate, "_warmup", lambda *args: built.append(args))
+        fields = dict(dataset=small_labeled_dataset(), algorithms=["icf", "nystrom"],
+                      subset_sizes=[5, 10], sigma=0.5, clusters=2, num_seeds=2)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            run_benchmark(BenchmarkConfig(**fields))
+        assert built == []
+
 
 ALL_ALGORITHMS = ["icf", "kernel", "chol", "nystrom", "rff", "approx"]
 
