@@ -30,6 +30,12 @@ TOL = 1e-6
 # points gathered by _add_moves (512 KB)
 _BLOCK_SIZE = 1 << 16
 
+# from this many points on, _sq_dists sweeps whole columns instead of s x b
+# blocks: on a column-major P the sweep reads columns as they lie (the mean
+# form ran 1.8 times as fast at 10,992 x 500), while on fewer points the
+# per-column calls cost more than they save
+_COLUMN_ROWS = 4096
+
 
 @dataclass(eq=False)
 class ClusterModel(_ValueType):
@@ -62,7 +68,7 @@ class ClusterModel(_ValueType):
         return self.centers.shape[0]
 
 
-def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+def kmeans_pp_init(points: np.ndarray, k: int, seed: int, *, prepared: tuple | None = None) -> np.ndarray:
     """Choose k distinct rows as initial centers by D^2 weighting.
 
     The first center is uniform; each later one is drawn with probability
@@ -72,9 +78,11 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     n x s matrix-vector product about the points' mean m,
     ||p - m||^2 + ||c - m||^2 - 2 (c - m).(p - m); values within its rounding
     bound of 0 are recomputed by differences, so each is >= 0 and a duplicate
-    of a chosen center gets exactly 0.  The input is read as lloyd reads it.
+    of a chosen center gets exactly 0.  The input is read as lloyd reads it;
+    lloyd passes its own _prepared(points, k) as prepared, so a Lloyd call
+    makes that pass over the points once.
     """
-    points, mean, spread, near = _prepared(points, k)
+    points, mean, spread, near = _prepared(points, k) if prepared is None else prepared
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
@@ -117,19 +125,24 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000) -> Cluste
     a k x n one-hot matrix times the points and are kept apart from the
     updates, so a cluster no point has entered or left keeps them exactly;
     the centers are always the sums over the counts.  Both the assignment
-    and the TOL test work about the mean m of the points, so their rounding
-    error scales with the points' spread, not with their distance from the
-    origin: a point goes to
+    and the TOL test work about the mean m of the points: a point goes to
     argmin_j ||c_j - m||^2 - 2 (c_j - m).p + 2 (c_j - m).m, which is
     ||p - c_j||^2 - ||p - m||^2, and the TOL test uses the objective
-    (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n.  The returned objective
-    is the direct mean squared distance, so an exact fit gives exactly 0.
+    (sum ||p - m||^2 - sum_j n_j ||c_j - m||^2) / n.  Their rounding error
+    is of order eps ||m|| times the points' spread, where about the origin
+    it would be eps ||m||^2, so it still grows with the offset: the scores
+    multiply center offsets by the points as given, and the centers carry an
+    absolute rounding of about eps ||m||, as the first iteration's sums are
+    raw sums of the points.  (An exact fit of 6 points near 1e6 has read a
+    TOL objective of 2.46e-11.)  The returned objective is the direct mean
+    squared distance, so an exact fit gives exactly 0.
     """
-    points, mean, spread, _ = _prepared(points, k)
+    prepared = _prepared(points, k)
+    points, mean, spread, _ = prepared
     n = points.shape[0]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    centers = kmeans_pp_init(points, k, seed)
+    centers = kmeans_pp_init(points, k, seed, prepared=prepared)
     spread = float(spread.sum())
     offsets = centers - mean
     norms = np.einsum("ij,ij->i", offsets, offsets)
@@ -275,18 +288,30 @@ def _prepared(points, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float
 def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None = None) -> np.ndarray:
     """Squared distance of each row to one center, or of row i to centers[assign[i]].
 
-    Differences are formed in s x b blocks of _BLOCK_SIZE entries and summed
-    over s in column order: no n x s temporary, a column-major P is read as
-    it lies, and the result has the same bits for any memory layout.
+    Each row's squared differences are summed over s in column order, so the
+    result has the same bits for any memory layout.  From _COLUMN_ROWS rows
+    on, the sum runs one whole column at a time, which reads a column-major P
+    as it lies; below, differences are formed in s x b blocks of _BLOCK_SIZE
+    entries.  Neither path makes an n x s temporary.
     """
     n, s = points.shape
+    # the ids lie in [0, k), so mode="clip" changes none and spares take a buffered copy
+    if n >= _COLUMN_ROWS:
+        out, diff = np.zeros(n), np.empty(n)
+        for j in range(s):
+            ref = centers[j] if assign is None else np.take(centers[:, j], assign, out=diff, mode="clip")
+            np.subtract(points[:, j], ref, out=diff)
+            np.multiply(diff, diff, out=diff)
+            out += diff
+        return out
     rows = max(1, _BLOCK_SIZE // max(s, 1))
     out = np.empty(n)
     buf = np.empty((s, min(n, rows)))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         diff = buf[:, : hi - lo]
-        ref = centers[:, None] if assign is None else np.take(centers.T, assign[lo:hi], axis=1, out=diff)
+        ref = (centers[:, None] if assign is None
+               else np.take(centers.T, assign[lo:hi], axis=1, out=diff, mode="clip"))
         np.subtract(points[lo:hi].T, ref, out=diff)
         np.einsum("ij,ij->j", diff, diff, out=out[lo:hi])
     return out

@@ -8,6 +8,7 @@ every downstream consumer works on dense feature rows.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import os
@@ -111,8 +112,11 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
     Args:
         source: str, bytes, file-like object, or path to a file.  Bytes, and
             the bytes of a path or a binary file, are decoded as UTF-8 one
-            block at a time; a text-mode file decodes inside its own read, so
-            its decoding errors name no line.  Lines, and so line numbers, are
+            block at a time.  A text-mode UTF-8 file decodes inside its own
+            read; on a byte that is not UTF-8 its bytes are read again from
+            the failed block's start to name the line, and where they cannot
+            be (a pipe, or a file already iterated by lines) the error names
+            the block's first line.  Lines, and so line numbers, are
             those of str.splitlines: a line ends at LF, CRLF, a bare CR, \\x0b,
             \\x0c, \\x1c-\\x1e, \\x85, \\u2028 or \\u2029.
         num_features: optional fixed width, at least 1; defaults to the
@@ -131,7 +135,8 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
     label_blocks, row_blocks = [], []
     n = max_index = lines_before = 0
     with _opened(source) as text:
-        for block in _blocks(text):
+        blocks = _blocks(text)
+        while (block := _next_block(blocks, lines_before)) is not None:
             if isinstance(block, bytes):
                 block = _decoded(block, lines_before)
             pending = [block.splitlines()]
@@ -241,7 +246,10 @@ def _blocks(text):
     """Yield a str or a file's contents in pieces of about _BLOCK_CHARS
     characters or bytes, each cut just after a newline.  A file object is read
     one piece at a time; a binary file's pieces are bytes, which a cut at a
-    newline leaves whole UTF-8."""
+    newline leaves whole UTF-8.  A text-mode file decodes inside its own
+    read; when that read meets a byte that is not UTF-8, the pieces go on as
+    bytes read again from the start of the failed one, where _byte_position
+    gives that start."""
     if isinstance(text, str):
         start = 0
         while start < len(text):
@@ -249,8 +257,43 @@ def _blocks(text):
             yield text[start:end]
             start = end
         return
-    while block := text.read(_BLOCK_CHARS):
-        yield block + text.readline()
+    at = _byte_position(text)
+    try:
+        while block := text.read(_BLOCK_CHARS):
+            yield block + text.readline()
+            at = _byte_position(text)
+    except UnicodeDecodeError:
+        if at is None:
+            raise
+        # read the same bytes again undecoded, so _decoded names the line
+        text.buffer.seek(at)
+        yield from _blocks(text.buffer)
+
+
+def _next_block(blocks, lines_before: int):
+    """next(blocks), or None after the last.  A decode error _blocks let
+    through, from a text-mode file whose bytes cannot be read again, names
+    the first of the lines the failed read began at, lines_before lines in."""
+    try:
+        return next(blocks, None)
+    except UnicodeDecodeError as exc:
+        raise ParseError(lines_before + 1, f"byte {exc.object[exc.start]:#04x} is not {exc.encoding} "
+                         f"({exc.reason}) on this line or a later one; a file opened in "
+                         "binary mode gets its line named") from None
+
+
+def _byte_position(text) -> int | None:
+    """The byte offset of the next character of a UTF-8 text-mode file, or
+    None where its bytes cannot be read again from there: any other file
+    object, one that cannot seek (a pipe), or one iterated by lines."""
+    if not isinstance(text, io.TextIOWrapper) or codecs.lookup(text.encoding).name != "utf-8":
+        return None
+    try:
+        at = text.tell()
+    except OSError:
+        return None
+    # a larger cookie also carries decoder state and is no plain offset
+    return at if at < 1 << 64 else None
 
 
 def _decoded(block: bytes, lines_before: int) -> str:

@@ -21,7 +21,8 @@ from icfcluster import (
     lloyd,
     psd_embedding,
 )
-from icfcluster.cluster import _add_moves, _lowest_rows, _one_hot, _repair_empty, _sq_dists
+from icfcluster import cluster
+from icfcluster.cluster import _COLUMN_ROWS, _add_moves, _lowest_rows, _one_hot, _repair_empty, _sq_dists
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -226,7 +227,8 @@ class TestLloyd:
 def _property_cases():
     """(points, k) pairs: seeded random inputs of mixed scale, then the edge
     cases n = 1, k = n, duplicate points (k at and beyond the number of
-    distinct points), all points identical, and k = 1."""
+    distinct points), all points identical, and k = 1, then a tall input
+    whose distance passes sweep whole columns."""
     rng = np.random.default_rng(2024)
     cases = []
     for _ in range(12):
@@ -240,6 +242,8 @@ def _property_cases():
     cases.append((duplicates, 8))
     cases.append((np.zeros((6, 2)), 3))
     cases.append((rng.normal(size=(40, 4)), 1))
+    means = 3.0 * rng.normal(size=(4, 3))
+    cases.append((means[rng.integers(0, 4, _COLUMN_ROWS)] + rng.normal(size=(_COLUMN_ROWS, 3)), 4))
     return cases
 
 
@@ -326,6 +330,50 @@ def test_lloyd_reads_a_column_major_factor_in_place():
         finally:
             tracemalloc.stop()
         assert peak < P.nbytes
+
+
+def test_lloyd_makes_one_full_pass_about_the_mean(monkeypatch):
+    # the seeding takes lloyd's prepared input, so the pass that gives every
+    # point's squared distance to the mean runs once per lloyd call
+    P = np.asfortranarray(rand_points(12, 5_000, 20))
+    passes = []
+
+    def counted(points, centers, assign=None):
+        passes.append(assign is None and points.shape[0] == P.shape[0])
+        return _sq_dists(points, centers, assign)
+
+    monkeypatch.setattr(cluster, "_sq_dists", counted)
+    model = lloyd(P, 6, seed=0, max_iter=3)
+    assert np.unique(model.assignments).size == 6
+    assert sum(passes) == 1
+
+
+def column_loop_sq_dists(points, centers, assign=None):
+    """_sq_dists written plainly: one squared difference per column, added
+    in column order."""
+    ref = np.broadcast_to(centers, points.shape) if assign is None else centers[assign]
+    d0 = points[:, 0] - ref[:, 0]
+    out = d0 * d0
+    for j in range(1, points.shape[1]):
+        dj = points[:, j] - ref[:, j]
+        out += dj * dj
+    return out
+
+
+@pytest.mark.parametrize("n", [_COLUMN_ROWS - 1, _COLUMN_ROWS, 3 * _COLUMN_ROWS + 5])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("s", [1, 7, 130])
+def test_sq_dists_sums_in_column_order_on_both_paths(n, order, s):
+    # below _COLUMN_ROWS the sum runs over s x b blocks, from it on over
+    # whole columns; both must give the plain loop's bits in either layout
+    rng = np.random.default_rng(n + s)
+    points = np.asarray(rng.normal(size=(n, s)) * 10.0 ** rng.integers(-3, 4, size=s) + 5.0, order=order)
+    mean = points.mean(axis=0)
+    centers = rng.normal(size=(9, s))
+    assign = rng.integers(0, 9, n)
+    for got, want in ((_sq_dists(points, mean), column_loop_sq_dists(points, mean)),
+                      (_sq_dists(points, centers, assign), column_loop_sq_dists(points, centers, assign))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_moving_every_point_gathers_one_block_at_a_time():

@@ -452,11 +452,14 @@ def with_bad_byte(sparse: bool, byte: bytes) -> tuple[bytes, int]:
 
 
 def as_binary(raw: bytes, form: str, tmp_path):
-    """raw as bytes, as an io.BytesIO, or as the path of a file holding it."""
+    """raw as bytes, as an io.BytesIO, as a text-mode UTF-8 file object over
+    it, or as the path of a file holding it."""
     if form == "bytes":
         return raw
     if form == "bytes file object":
         return io.BytesIO(raw)
+    if form == "text file object":
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
     path = tmp_path / "raw.libsvm"
     path.write_bytes(raw)
     return os.fspath(path)
@@ -500,20 +503,20 @@ class TestWidthAndEncodingFaults:
         assert str(exc.value).startswith(
             f"line 1: num_features={10 ** 12} needs a dense 1 x {10 ** 12} point matrix")
 
-    @pytest.mark.parametrize("form", BINARY_FORMS)
+    @pytest.mark.parametrize("form", BINARY_FORMS + ["text file object"])
     def test_bad_byte_names_its_line(self, form, tmp_path):
         with pytest.raises(ParseError) as exc:
             parse_libsvm(as_binary(b"1 1:1\n\xff 1:1\n", form, tmp_path))
         assert str(exc.value) == "line 2: byte 0xff is not UTF-8 (invalid start byte)"
 
-    @pytest.mark.parametrize("form", BINARY_FORMS)
+    @pytest.mark.parametrize("form", BINARY_FORMS + ["text file object"])
     def test_truncated_character_at_the_end(self, form, tmp_path):
         with pytest.raises(ParseError) as exc:
             parse_libsvm(as_binary(b"1 1:1\r\n1 1:2\xe2\x80", form, tmp_path))
         assert str(exc.value) == "line 2: byte 0xe2 is not UTF-8 (unexpected end of data)"
 
     @pytest.mark.parametrize("block_chars", [1_000, data._BLOCK_CHARS])
-    @pytest.mark.parametrize("form", BINARY_FORMS)
+    @pytest.mark.parametrize("form", BINARY_FORMS + ["text file object"])
     @pytest.mark.parametrize("byte", [b"\xff", b"\x80", b"\xc3("])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_bad_byte_deep_in_a_file(self, sparse, byte, form, block_chars, tmp_path, monkeypatch):
