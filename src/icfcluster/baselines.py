@@ -23,7 +23,7 @@ import numpy as np
 
 from .cluster import ClusterModel, _clamped_eigh, lloyd
 from .data import Dataset
-from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_column, kernel_diag
+from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_columns, kernel_diag
 
 
 def kernel_chol_kmeans(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
@@ -121,7 +121,7 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
     B = np.sort(np.random.default_rng(seed).choice(dataset.n, size=subset_size, replace=False))
-    K_MB = np.column_stack([kernel_column(spec, dataset, int(t)) for t in B])
+    K_MB = kernel_columns(spec, dataset, B)
     w, U = _clamped_eigh(K_MB[B])
     keep = w > 0.0
     if not np.any(keep):

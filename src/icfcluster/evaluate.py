@@ -320,7 +320,7 @@ def _build_rows(spec: KernelSpec, algorithm: str, subset_size: int, seed: int,
         score = _accuracy_of(model, dataset)
         return {("nystrom", subset_size, seed): (model.objective, score, W.shape[1],
                                                  (t2 - t0) * 1e3, (t3 - t2) * 1e3),
-                ("approx", subset_size, seed): (restricted.objective, score, subset_size,
+                ("approx", subset_size, seed): (restricted.objective, score, W.shape[1],
                                                 (t1 - t0) * 1e3, (t4 - t1) * 1e3)}
     if algorithm == "rff":
         embed, seeds = rff_embedding(dataset, spec, subset_size + subset_size % 2, seed), [seed]

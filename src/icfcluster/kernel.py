@@ -1,13 +1,15 @@
-"""Kernel evaluation without ever forming more than one Gram column at a time.
+"""Kernel evaluation: single entries, Gram columns one at a time or in blocks.
 
 The Gaussian family k(x, y) = exp(-sigma * ||x - y||^2) is the workhorse; a
 linear family k(x, y) = x.y is included so that matrices with a prescribed
-spectrum (K = X X^T) can be pushed through the same interface.  full_gram is
-guarded because an n x n matrix defeats the point of the factored pipeline.
+spectrum (K = X X^T) can be pushed through the same interface.  A block of
+columns has the bits of the same columns asked for one at a time.  full_gram
+is guarded because an n x n matrix defeats the point of the factored pipeline.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,10 @@ import numpy as np
 from .data import Dataset
 
 DEFAULT_GUARD = 5000
+
+# full_gram fills K in blocks of at most this many entries, so the block's
+# temporaries stay near 1 MB beside K whatever n is
+_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,36 @@ def kernel_column(spec: KernelSpec, dataset: Dataset, t: int) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
+def kernel_columns(spec: KernelSpec, dataset: Dataset, cols: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Gram columns cols, in order, as an n x len(cols) array.
+
+    One einsum evaluates the block in kernel_column's order (the squared
+    norms' sum, plus the dot products, clamped, pinned to 0 at (cols[j], j),
+    scaled and exponentiated), so column j has the bits of
+    kernel_column(spec, dataset, cols[j]).  Indices may repeat and come in
+    any order; one outside [0, n) raises kernel_column's ValueError.
+    kernel_column stays the one-column path: it is faster for a single index.
+    """
+    n = dataset.n
+    cols = np.asarray(cols)
+    if cols.ndim != 1 or (cols.size and cols.dtype.kind not in "iu"):
+        raise ValueError(f"cols must be a 1-d sequence of integers, got {cols.dtype} of shape {cols.shape}")
+    cols = cols.astype(np.intp, copy=False)
+    outside = cols[(cols < 0) | (cols >= n)]
+    if outside.size:
+        raise ValueError(f"index {outside[0]} out of range for n={n}")
+    if spec.family != "gaussian":
+        X = dataset.points
+        return np.einsum("ij,bj->ib", X, X[cols])
+    XT, sq = dataset._centered
+    d2 = sq[:, None] + sq[cols]
+    d2 += np.einsum("ji,jb->ib", XT, -2.0 * XT[:, cols])
+    np.maximum(d2, 0.0, out=d2)
+    d2[cols, np.arange(cols.size)] = 0.0
+    d2 *= -spec.sigma
+    return np.exp(d2, out=d2)
+
+
 def kernel_diag(spec: KernelSpec, dataset: Dataset) -> np.ndarray:
     """Diagonal of the Gram matrix; all ones for the Gaussian family."""
     if spec.family == "gaussian":
@@ -80,14 +116,15 @@ def full_gram(spec: KernelSpec, dataset: Dataset, guard: int = DEFAULT_GUARD) ->
     """Materialize the full n x n Gram matrix.
 
     Refuses when n exceeds the guard; pass a larger guard explicitly to
-    acknowledge the O(n^2) memory cost.  Built column by column from
-    kernel_column, so for both families the result is exactly symmetric and
-    each column has the bits of the single-column query.
+    acknowledge the O(n^2) memory cost.  Filled by kernel_columns in blocks
+    of at most _BLOCK_ENTRIES entries, so for both families the result is
+    exactly symmetric and each column has the bits of the single-column query.
     """
     n = dataset.n
     if n > guard:
         raise ValueError(f"full Gram matrix refused: n={n} exceeds guard={guard}")
     K = np.empty((n, n))
-    for t in range(n):
-        K[:, t] = kernel_column(spec, dataset, t)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        K[:, lo:lo + step] = kernel_columns(spec, dataset, range(lo, min(lo + step, n)))
     return K

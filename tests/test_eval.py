@@ -27,7 +27,7 @@ from icfcluster import baselines, evaluate
 from icfcluster.baselines import (approx_kkmeans, chol_embedding, nystrom_embedding, nystrom_kmeans,
                                   rff_embedding)
 from icfcluster.cluster import lloyd, oracle_embedding
-from icfcluster.kernel import full_gram, kernel_column
+from icfcluster.kernel import full_gram, kernel_columns
 
 GAUSS = KernelSpec(sigma=0.5)
 
@@ -371,7 +371,8 @@ class TestSeedFreeEmbeddingsShared:
         for row in run_benchmark(cfg).rows:
             size, seed = row.subset_size, row.seed
             if row.algorithm == "approx":
-                model, rank = approx_kkmeans(ds, spec, size, k, seed), size
+                model = approx_kkmeans(ds, spec, size, k, seed)
+                rank = nystrom_embedding(ds, spec, size, seed).shape[1]
             else:
                 embed = {
                     "icf": lambda: icf_factorize(ds, spec, max_rank=size, epsilon=cfg.epsilon).P,
@@ -454,12 +455,12 @@ class TestSampledPairShared:
         ds, spec, k = cfg.dataset, KernelSpec("gaussian", cfg.sigma), cfg.clusters
         columns = []
 
-        def counting_column(spec, dataset, t):
+        def counting_columns(spec, dataset, cols):
             if dataset is ds:
-                columns.append(t)
-            return kernel_column(spec, dataset, t)
+                columns.extend(cols)
+            return kernel_columns(spec, dataset, cols)
 
-        monkeypatch.setattr(baselines, "kernel_column", counting_column)
+        monkeypatch.setattr(baselines, "kernel_columns", counting_columns)
         rows = run_benchmark(cfg).rows
         monkeypatch.undo()
         assert len(columns) == cfg.num_seeds * sum(cfg.subset_sizes)
@@ -467,11 +468,11 @@ class TestSampledPairShared:
         factorize_ms = {}
         for row in rows:
             size, seed = row.subset_size, row.seed
+            rank = nystrom_embedding(ds, spec, size, seed).shape[1]
             if row.algorithm == "approx":
-                model, rank = approx_kkmeans(ds, spec, size, k, seed), size
+                model = approx_kkmeans(ds, spec, size, k, seed)
             else:
                 model = nystrom_kmeans(ds, spec, size, k, seed)
-                rank = nystrom_embedding(ds, spec, size, seed).shape[1]
             assert row.objective == model.objective, (row.algorithm, size, seed)
             assert row.accuracy == accuracy(model.assignments, ds.labels)
             assert row.achieved_rank == rank
@@ -480,6 +481,12 @@ class TestSampledPairShared:
         for (algorithm, size, seed), ms in factorize_ms.items():
             if algorithm == "approx" and ("nystrom", size, seed) in factorize_ms:
                 assert ms <= factorize_ms["nystrom", size, seed]
+
+    def test_approx_reports_the_rank_of_the_nystrom_rows_it_clusters(self):
+        # three distinct points, six copies each: every sampled block has rank 3
+        ds = Dataset(np.repeat(np.eye(3), 6, axis=0), labels=np.repeat([0, 1, 2], 6))
+        cfg = shared_config(dataset=ds, algorithms=["approx", "nystrom"], subset_sizes=[12], clusters=3)
+        assert {(r.algorithm, r.achieved_rank) for r in run_benchmark(cfg).rows} == {("approx", 3), ("nystrom", 3)}
 
     def test_approx_with_k_above_a_subset_size_is_refused_before_any_cell(self, monkeypatch):
         clustered = []

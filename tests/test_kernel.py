@@ -1,6 +1,7 @@
 """Kernel evaluation: scalar entries, columns, diagonals, and the guarded full Gram."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from icfcluster import (
     KernelSpec,
     full_gram,
     kernel_column,
+    kernel_columns,
     kernel_diag,
     kernel_eval,
 )
@@ -88,13 +90,15 @@ class TestKernelColumn:
         for t in range(5):
             assert np.array_equal(kernel_column(spec, ds, t), K[:, t])
 
-    def test_index_out_of_range(self):
+    @pytest.mark.parametrize("query", [kernel_column, lambda spec, ds, t: kernel_columns(spec, ds, [0, t])],
+                             ids=["column", "block"])
+    def test_index_out_of_range(self, query):
         ds = _random_dataset(4, 2)
         spec = KernelSpec("gaussian", 1.0)
-        with pytest.raises(ValueError):
-            kernel_column(spec, ds, 4)
-        with pytest.raises(ValueError):
-            kernel_column(spec, ds, -1)
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            query(spec, ds, 4)
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            query(spec, ds, -1)
 
     def test_cached_norm_form_agrees_with_direct(self):
         # the expanded norms, taken about the mean, track the pointwise
@@ -112,6 +116,23 @@ class TestKernelColumn:
         ds = Dataset(np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
         col = kernel_column(KernelSpec("linear"), ds, 1)
         assert np.array_equal(col, ds.points @ ds.points[1])
+
+
+class TestKernelColumns:
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("family", ["gaussian", "linear"])
+    @pytest.mark.parametrize("cols", [[5], [17, 3, 9, 0, 40], [8, 8, 2, 8], list(range(41))[::-1]])
+    def test_block_has_the_bits_of_single_columns(self, cols, family, offset):
+        ds = Dataset(_random_dataset(41, 6, seed=11, scale=3.0).points + offset)
+        spec = KernelSpec(family, 0.3 if family == "gaussian" else None)
+        block = kernel_columns(spec, ds, cols)
+        single = np.column_stack([kernel_column(spec, ds, t) for t in cols])
+        assert np.array_equal(block.view(np.int64), single.view(np.int64))
+
+    @pytest.mark.parametrize("cols", [np.array([0.0, 1.0]), np.array([True, False]), [[0, 1]]])
+    def test_refuses_what_is_not_a_list_of_indices(self, cols):
+        with pytest.raises(ValueError, match="1-d sequence of integers"):
+            kernel_columns(KernelSpec("gaussian", 1.0), _random_dataset(4, 2), cols)
 
 
 class TestKernelDiag:
@@ -150,7 +171,7 @@ class TestFullGram:
 
     @pytest.mark.parametrize("family", ["gaussian", "linear"])
     @pytest.mark.parametrize("d", [1, 2, 5, 8, 16, 33])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 20, 33, 65])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 20, 33, 65, 700, 1500])
     def test_exactly_symmetric_for_every_shape(self, n, d, family):
         # dot products are summed in a fixed order, whatever a row's position
         ds = _random_dataset(n, d, seed=n * 100 + d)
@@ -170,6 +191,19 @@ class TestFullGram:
         ds = _random_dataset(20, 4, seed=8)
         K = full_gram(KernelSpec("gaussian", 1.0), ds)
         assert np.linalg.eigvalsh(K).min() >= -1e-10
+
+    def test_temporaries_stay_small_beside_k(self):
+        # K is filled in blocks: building all of it at once would double the
+        # 200 MB the guard allows
+        ds = _random_dataset(2000, 4, seed=12)
+        spec = KernelSpec("gaussian", 1.0)
+        tracemalloc.start()
+        try:
+            K = full_gram(spec, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < K.nbytes + 2 * 2 ** 20
 
     def test_guard(self):
         ds = _random_dataset(12, 2, seed=9)
