@@ -2,9 +2,10 @@
 
 The Gaussian family k(x, y) = exp(-sigma * ||x - y||^2) is the workhorse; a
 linear family k(x, y) = x.y is included so that matrices with a prescribed
-spectrum (K = X X^T) can be pushed through the same interface.  A block of
-columns has the bits of the same columns asked for one at a time.  full_gram
-is guarded because an n x n matrix defeats the point of the factored pipeline.
+spectrum (K = X X^T) can be pushed through the same interface.  One code
+path evaluates a block of columns; a single column is the block of one, so a
+column has the same bits however it is asked for.  full_gram is guarded
+because an n x n matrix defeats the point of the factored pipeline.
 """
 
 from __future__ import annotations
@@ -53,42 +54,24 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 def kernel_column(spec: KernelSpec, dataset: Dataset, t: int) -> np.ndarray:
     """Column t of the Gram matrix: k(x_i, x_t) for every i.
 
-    Gaussian: ||x_i||^2 + ||x_t||^2 - 2 x_i.x_t about the points' mean (cached
-    per dataset) so it does not cancel far from the origin, clamped at 0 and
-    pinned to 0 at t, so the entry there is exactly 1.0.  Linear: x_i.x_t on
-    the raw points; that kernel is not translation-invariant.  einsum sums
-    both in a fixed order: entry (i, t) has the bits of entry (t, i).
+    The one-column block of kernel_columns, so the two agree bit for bit.
     """
-    n = dataset.n
-    if not 0 <= t < n:
-        raise ValueError(f"index {t} out of range for n={n}")
-    if spec.family != "gaussian":
-        X = dataset.points
-        return np.einsum("ij,j->i", X, X[t])
-    XT, sq = dataset._centered
-    d2 = sq + sq[t]
-    d2 += np.einsum("ji,j->i", XT, -2.0 * XT[:, t])
-    np.maximum(d2, 0.0, out=d2)
-    d2[t] = 0.0
-    d2 *= -spec.sigma
-    return np.exp(d2, out=d2)
+    return kernel_columns(spec, dataset, [t])[:, 0]
 
 
 def kernel_columns(spec: KernelSpec, dataset: Dataset, cols: Sequence[int] | np.ndarray) -> np.ndarray:
     """Gram columns cols, in order, as an n x len(cols) array.
 
-    One einsum evaluates the block in kernel_column's order (the squared
-    norms' sum, plus the dot products, clamped, pinned to 0 at (cols[j], j),
-    scaled and exponentiated), so column j has the bits of
-    kernel_column(spec, dataset, cols[j]).  Indices may repeat and come in
-    any order; one outside [0, n) raises kernel_column's ValueError.
-    kernel_column stays the one-column path: it is faster for a single index.
+    Gaussian: ||x_i||^2 + ||x_t||^2 - 2 x_i.x_t about the points' mean (cached
+    per dataset) so it does not cancel far from the origin, clamped at 0 and
+    pinned to 0 at (cols[j], j), so the entry there is exactly 1.0.  Linear:
+    x_i.x_t on the raw points; that kernel is not translation-invariant.
+    einsum sums both in a fixed order, whatever the block: entry (i, t) has
+    the bits of entry (t, i).  Indices may repeat and come in any order; one
+    outside [0, n) raises ValueError rather than wrapping.
     """
     n = dataset.n
     cols = np.asarray(cols)
-    if cols.ndim != 1 or (cols.size and cols.dtype.kind not in "iu"):
-        raise ValueError(f"cols must be a 1-d sequence of integers, got {cols.dtype} of shape {cols.shape}")
-    cols = cols.astype(np.intp, copy=False)
     outside = cols[(cols < 0) | (cols >= n)]
     if outside.size:
         raise ValueError(f"index {outside[0]} out of range for n={n}")

@@ -11,10 +11,10 @@ from icfcluster import (
     KernelSpec,
     full_gram,
     kernel_column,
-    kernel_columns,
     kernel_diag,
     kernel_eval,
 )
+from icfcluster.kernel import kernel_columns
 
 
 def _random_dataset(n, d, seed=0, scale=1.0):
@@ -128,11 +128,6 @@ class TestKernelColumns:
         block = kernel_columns(spec, ds, cols)
         single = np.column_stack([kernel_column(spec, ds, t) for t in cols])
         assert np.array_equal(block.view(np.int64), single.view(np.int64))
-
-    @pytest.mark.parametrize("cols", [np.array([0.0, 1.0]), np.array([True, False]), [[0, 1]]])
-    def test_refuses_what_is_not_a_list_of_indices(self, cols):
-        with pytest.raises(ValueError, match="1-d sequence of integers"):
-            kernel_columns(KernelSpec("gaussian", 1.0), _random_dataset(4, 2), cols)
 
 
 class TestKernelDiag:
