@@ -51,19 +51,23 @@ def chol_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUAR
     """Lower-triangular L with L L^T = K, adding escalating diagonal jitter.
 
     Jitter starts at 1e-12 tr(K)/n and grows tenfold per failed attempt up to
-    1e-6 tr(K)/n, past which the failure is raised.
+    1e-6 tr(K)/n, past which the failure is raised, naming the last jitter
+    tried.  The jitter is written onto K's diagonal, so K and L are the only
+    n x n arrays held.
     """
     K = full_gram(spec, dataset, guard=guard)
+    diag = K.diagonal().copy()
     scale = float(np.trace(K)) / dataset.n
     jitter = 0.0
     while True:
         try:
-            return np.linalg.cholesky(K + jitter * np.eye(dataset.n))
+            return np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
-            jitter = 1e-12 * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-6 * scale:
-                raise np.linalg.LinAlgError(
-                    f"Cholesky failed at maximum jitter {jitter:.3e}") from None
+            step = jitter * 10.0 or 1e-12 * scale
+            if not 0.0 < step <= 1e-6 * scale:
+                raise np.linalg.LinAlgError(f"Cholesky failed at maximum jitter {jitter:.3e}") from None
+            jitter = step
+            np.fill_diagonal(K, diag + jitter)  # K + jitter I, in place
 
 
 def nystrom_embedding(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int) -> np.ndarray:
@@ -73,8 +77,7 @@ def nystrom_embedding(dataset: Dataset, spec: KernelSpec, subset_size: int, seed
     eigenvalues clamped away, so a singular sampled block just yields an
     embedding of lower rank r <= subset_size.
     """
-    K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
-    return K_MB @ W
+    return _approx_blocks(dataset, spec, subset_size, seed)[0]
 
 
 def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: int) -> np.ndarray:
@@ -107,16 +110,16 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
     """
     if not 1 <= k <= subset_size:
         raise ValueError(f"k must be in [1, subset_size={subset_size}], got {k}")
-    K_MB, W = _approx_blocks(dataset, spec, subset_size, seed)
-    Z = K_MB @ W
+    Z, W = _approx_blocks(dataset, spec, subset_size, seed)
     return _approx_solve(dataset, spec, Z, W, lloyd(Z, k, seed, max_iter=max_iter))
 
 
 def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int):
-    """Gram columns K_MB of a sorted uniform sample and W = U_r D_r^{-1/2}.
+    """Nystrom rows Z = K_MB W of a sorted uniform sample, and W = U_r D_r^{-1/2}.
 
-    U D U^T is K_BB with the eigenvalues _clamped_eigh zeroes dropped,
-    so W W^T is its pseudo-inverse and K_MB W the Nystrom embedding.
+    K_MB are the sample's Gram columns and U D U^T is K_BB with the
+    eigenvalues _clamped_eigh zeroes dropped, so W W^T is its pseudo-inverse.
+    K_MB is freed on return; only Z and W outlive the call.
     """
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
@@ -126,7 +129,8 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
     keep = w > 0.0
     if not np.any(keep):
         raise ValueError("sampled kernel block is numerically zero")
-    return K_MB, U[:, keep] / np.sqrt(w[keep])
+    W = U[:, keep] / np.sqrt(w[keep])
+    return K_MB @ W, W
 
 
 def _approx_solve(dataset: Dataset, spec: KernelSpec, Z: np.ndarray, W: np.ndarray,

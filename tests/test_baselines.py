@@ -1,6 +1,8 @@
 """Tests for the comparison algorithms: dense Cholesky, Nystrom, random
 Fourier features, and subset-restricted kernel k-means."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from icfcluster import (
     KernelSpec,
     approx_kkmeans,
     chol_embedding,
+    gen_synthetic,
     icf_factorize,
     kernel_chol_kmeans,
     kernel_kmeans_oracle,
@@ -54,6 +57,50 @@ class TestCholeskyBaseline:
         ds = rand_dataset(0, 12, 2)
         with pytest.raises(ValueError):
             kernel_chol_kmeans(ds, GAUSS, k=2, seed=0, guard=11)
+
+    def test_peak_memory_is_the_gram_matrix_and_its_factor(self):
+        ds = gen_synthetic("ring", 500, 0.05, 0)
+        tracemalloc.start()
+        try:
+            L = chol_embedding(ds, KernelSpec(sigma=16.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * L.nbytes
+
+    def test_jitter_leaves_the_factor_of_k_plus_jitter(self):
+        # a rank-3 linear Gram of 40 points fails at no jitter and needs some
+        ds = Dataset(np.random.default_rng(5).normal(size=(40, 3)))
+        spec = KernelSpec(family="linear")
+        K = full_gram(spec, ds)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K)
+        jitter = 1e-12 * float(np.trace(K)) / ds.n
+        while True:
+            try:
+                expected = np.linalg.cholesky(K + jitter * np.eye(ds.n))
+                break
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+        assert np.array_equal(chol_embedding(ds, spec), expected)
+
+    def test_failure_at_every_jitter_names_the_largest_tried(self, monkeypatch):
+        tried = []
+
+        def cholesky(a):
+            tried.append(float(a[0, 0]) - 1.0)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            chol_embedding(rand_dataset(0, 5, 2), GAUSS)
+        # K_ii = 1, so the jitter runs from 1e-12 tenfold up to 1e-6
+        assert tried == pytest.approx([0.0] + [10.0 ** e for e in range(-12, -5)], rel=1e-3, abs=1e-15)
+        assert str(exc.value) == "Cholesky failed at maximum jitter 1.000e-06"
+
+    def test_zero_gram_matrix_fails_without_looping(self):
+        with pytest.raises(np.linalg.LinAlgError, match="maximum jitter"):
+            chol_embedding(Dataset(np.zeros((4, 2))), KernelSpec(family="linear"))
 
 
 class TestNystromBaseline:
@@ -108,6 +155,14 @@ class TestNystromBaseline:
             nystrom_kmeans(ds, GAUSS, subset_size=0, k=1, seed=0)
         with pytest.raises(ValueError):
             nystrom_kmeans(ds, GAUSS, subset_size=11, k=1, seed=0)
+
+    def test_zero_sampled_block_rejected(self):
+        ds = Dataset(np.zeros((6, 2)))
+        spec = KernelSpec(family="linear")
+        with pytest.raises(ValueError, match="sampled kernel block is numerically zero"):
+            nystrom_embedding(ds, spec, 3, seed=0)
+        with pytest.raises(ValueError, match="sampled kernel block is numerically zero"):
+            approx_kkmeans(ds, spec, subset_size=3, k=2, seed=0)
 
 
 class TestRandomFourierFeatures:

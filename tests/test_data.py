@@ -5,6 +5,7 @@ import functools
 import io
 import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -526,6 +527,87 @@ class TestWidthAndEncodingFaults:
             parse_libsvm(as_binary(raw, form, tmp_path))
         assert exc.value.line_no == at + 1
         assert f"byte {byte[0]:#04x} is not UTF-8" in str(exc.value)
+
+
+def with_unreadable_byte() -> tuple[str, bytes, int]:
+    """Four blocks of ASCII LIBSVM text, the same text as bytes with 0xff put
+    halfway into its third block, and the character offset of that byte."""
+    text = "".join(f"{i % 3} 1:{i * 0.5!r} 2:0.25\n" for i in range(25_000))
+    starts = block_starts(text)
+    assert len(starts) >= 4
+    bad = text.find(" ", starts[2] + data._BLOCK_CHARS // 2)
+    return text, text[:bad].encode() + b"\xff" + text[bad:].encode(), bad
+
+
+def block_starts(text: str) -> list[int]:
+    """Where parse_libsvm's blocks of text start: each ends just after the
+    first newline at least _BLOCK_CHARS characters past its start."""
+    starts = [0]
+    while end := text.find("\n", starts[-1] + data._BLOCK_CHARS) + 1:
+        starts.append(end)
+    return starts
+
+
+def failed_block_line(text: str, bad: int) -> int:
+    """The 1-based first line of the block of text that holds offset bad."""
+    return text.count("\n", 0, max(s for s in block_starts(text) if s <= bad)) + 1
+
+
+def unreadable_again(line: int, encoding: str, reason: str) -> str:
+    return (f"line {line}: byte 0xff is not {encoding} ({reason}) on this line or a later one; "
+            "a file opened in binary mode gets its line named")
+
+
+class TestUnreadableTextFaults:
+    """A text-mode file whose bytes cannot be read again names the first line
+    of the block whose read failed, and says the byte is there or later."""
+
+    def test_wrapper_that_is_not_utf8(self):
+        text, raw, bad = with_unreadable_byte()
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"))
+        assert str(exc.value) == unreadable_again(failed_block_line(text, bad), "ascii",
+                                                  "ordinal not in range(128)")
+
+    def test_file_iterated_by_lines(self, tmp_path):
+        text, raw, bad = with_unreadable_byte()
+        path = tmp_path / "raw.libsvm"
+        path.write_bytes(raw)
+        with open(path, encoding="utf-8") as f:
+            head = len(next(f))
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(f)
+        # the parse, and so its blocks and line numbers, start at the second line
+        assert str(exc.value) == unreadable_again(failed_block_line(text[head:], bad - head), "utf-8",
+                                                  "invalid start byte")
+
+    def test_pipe(self):
+        text, raw, bad = with_unreadable_byte()
+        r, w = os.pipe()
+
+        def write():
+            view = memoryview(raw)
+            try:
+                while view:
+                    view = view[os.write(w, view):]
+            except BrokenPipeError:
+                pass  # the reader stopped at the bad byte and closed its end
+            finally:
+                os.close(w)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            with open(r, encoding="utf-8") as f, pytest.raises(ParseError) as exc:
+                parse_libsvm(f)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert str(exc.value) == unreadable_again(failed_block_line(text, bad), "utf-8", "invalid start byte")
+
+    def test_source_of_no_known_type(self):
+        with pytest.raises(TypeError, match="unsupported source type"):
+            parse_libsvm(3.5)
 
 
 class TestToLibsvm:
