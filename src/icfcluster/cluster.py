@@ -271,6 +271,8 @@ def _prepared(points, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float
         if points.ndim != 2:
             raise ValueError(f"points must be a 2-d n x s array, got {points.ndim}-d")
         n, s = points.shape
+        if s < 1:
+            raise ValueError(f"points must have at least one column, got {n} x 0 (a rank-0 factor has none)")
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         mean = points.mean(axis=0)

@@ -27,6 +27,10 @@ _BLOCK_CHARS = 1 << 17
 # those two occur
 _NOT_SPACE_OR_COLON = bytes(sorted(set(range(256)) - set(b" :")))
 
+# bytes.translate's table for the characters of a plain decimal number left
+# when its digits and signs are deleted: "e" and "E" become "."
+_DOTS = bytes.maketrans(b"eE", b"..")
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -103,11 +107,14 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
 
     The text is read in blocks of about 128 KB, each cut just after a newline:
     a str is sliced in place, and any other source is read a block at a time.
-    A block is converted by a few whole-block string and numpy operations.
-    When that conversion fails, the same conversion runs on the block's
-    lines one at a time, and the first line that fails alone is reported.
-    Dense and sparse rows take the same path, and indices and values keep
-    Python's int and float syntax.
+    A block of dense lines, ``<label> 1:<value> ... w:<value>`` in plain
+    decimal numbers split by single spaces, is read by one np.loadtxt call
+    (_dense_block).  Any other block is converted by a few whole-block string
+    and numpy operations (_convert_block), the one statement of the rules, in
+    which indices and values keep Python's int and float syntax; the two give
+    the same bits on every block the first takes.  When that conversion
+    fails, it runs on the block's lines one at a time, and the first line
+    that fails alone is reported.
 
     Args:
         source: str, bytes, file-like object, or path to a file.  Bytes, and
@@ -145,7 +152,8 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
                 while pending:
                     lines = pending.pop()
                     try:
-                        labels, rows = _convert_block(lines, n, max_index, num_features)
+                        labels, rows = (_dense_block(lines, n, max_index, num_features)
+                                        or _convert_block(lines, n, max_index, num_features))
                     except ValueError as exc:
                         if len(lines) == 1:
                             raise ParseError(lines_before + 1, str(exc)) from None
@@ -206,8 +214,8 @@ def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Datas
         raise ValueError(f"unknown kind {kind!r}, expected one of {_SYNTH_KINDS}")
     if per_cluster < 1:
         raise ValueError("per_cluster must be >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     if kind == "ring":
         # a small circle enclosed by a concentric ring.  The inner cluster is
@@ -296,6 +304,45 @@ def _decoded(block: bytes, lines_before: int) -> str:
         head = block[:exc.start].decode("utf-8") + "?"
         raise ParseError(lines_before + len(head.splitlines()),
                          f"byte {block[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+
+
+def _dense_block(lines: list[str], rows_before: int, max_index: int,
+                 num_features: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """_convert_block's labels and rows of lines, read by one np.loadtxt call,
+    when each line is ``<label> 1:<value> ... w:<value>`` in plain decimal
+    numbers split by single spaces; None for any other block, which
+    _convert_block then converts or refuses.
+
+    A block is taken only where _convert_block takes it, with the same bits:
+    its tokens hold only digits, signs, ".", "e" and "E", which int, float
+    and loadtxt read alike (no underscore, letter of inf or nan, or non-ASCII
+    digit); its index tokens hold no ".", "e" or "E", which int refuses; and
+    every index reads exactly 1..w.  A label read as a float64 is exact only
+    below 2**53, so a larger one is left to _convert_block.
+    """
+    w, n_rows = lines[0].count(":"), len(lines)
+    if not 1 <= w <= (num_features or w):
+        return None
+    text = "\n".join(lines)
+    # with the digits and signs deleted, a dense line reads " :" w times
+    # between its dots; any other character (a non-ASCII one as "?") stays,
+    # and a dot after a space is in an index token
+    marks = text.encode("ascii", "replace").translate(_DOTS, b"0123456789+-")
+    if b" ." in marks or marks.translate(None, b".") != b"\n".join([b" :" * w] * n_rows):
+        return None
+    if not _fits_in_memory(rows_before + n_rows, num_features or max(max_index, w)):
+        return None  # for _convert_block's message
+    try:
+        table = np.loadtxt(text.replace(":", " ").splitlines(), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (n_rows, 2 * w + 1) or not np.isfinite(table).all():
+        return None
+    labels = table[:, 0]
+    if not (((0.0 <= labels) & (labels < 2.0 ** 53) & (labels == np.floor(labels))).all()
+            and (table[:, 1::2] == np.arange(1, w + 1)).all()):
+        return None
+    return labels.astype(np.int64), np.ascontiguousarray(table[:, 2::2])
 
 
 def _convert_block(lines: list[str], rows_before: int, max_index: int,

@@ -268,6 +268,26 @@ class TestErrorPaths:
         assert info.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("argv", [["synth", "ring", "3", "{noise}", "0", "{out}"],
+                                      ["factorize", "synth:ring:3:{noise}:0", "--sigma", "1"]],
+                             ids=["synth", "spec"])
+    def test_noise_not_finite_and_non_negative(self, tmp_path, capsys, argv, noise):
+        out = tmp_path / "x.libsvm"
+        code, stdout, stderr = run_cli(capsys, *(a.format(noise=noise, out=out) for a in argv))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert f"noise must be finite and >= 0, got {float(noise)}" in stderr
+        assert not out.exists()
+
+    def test_cluster_on_a_rank_0_factor(self, capsys):
+        # factorize reports s=0 (test_huge_epsilon_stops_immediately); there
+        # is nothing to cluster in it
+        code, stdout, stderr = run_cli(
+            capsys, "cluster", "synth:ring:3:0.1:0", "--sigma", "1", "--subset-size", "3", "--epsilon", "1e9")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: points must have at least one column, got 6 x 0 (a rank-0 factor has none)\n"
+
     def test_subset_size_beyond_n(self, capsys):
         code, _, stderr = run_cli(
             capsys, "factorize", "synth:ring:5:0.0:0", "--sigma", "1",

@@ -197,6 +197,7 @@ class TestLloyd:
         (np.array([1.0, 2.0, 3.0]), 2, "2-d n x s array, got 1-d"),
         (np.ones((2, 2, 1)), 1, "2-d n x s array, got 3-d"),
         (1e160 + 1e150 * np.random.default_rng(0).normal(size=(20, 2)), 3, "spread too far"),
+        (np.empty((4, 0)), 2, r"at least one column, got 4 x 0 \(a rank-0 factor"),
     ])
     def test_bad_points_are_refused_by_name(self, fit, points, k, cause):
         # raised before numpy warns, so no RuntimeWarning precedes the error

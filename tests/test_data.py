@@ -394,6 +394,43 @@ class TestParseAcrossBlocks:
         assert quoted in str(exc.value)
 
 
+class ConvertBlockCalled(Exception):
+    pass
+
+
+class TestDenseBlocks:
+    """A dense block is read by _dense_block, anything else by _convert_block."""
+
+    @pytest.fixture
+    def no_convert_block(self, monkeypatch):
+        def refuse(*args):
+            raise ConvertBlockCalled
+        monkeypatch.setattr(data, "_convert_block", refuse)
+
+    def test_a_dense_text_never_reaches_convert_block(self, no_convert_block):
+        rng = np.random.default_rng(23)
+        points = rng.normal(size=(3_000, 16)) * 10.0 ** rng.integers(-5, 6, size=(3_000, 16))
+        special = rng.random(points.shape) < 0.01
+        points[special] = rng.choice(AWKWARD, size=int(special.sum()))
+        ds = Dataset(points, rng.integers(0, 10, 3_000))
+        text = to_libsvm(ds)
+        assert len(text) > 4 * data._BLOCK_CHARS
+        parsed = parse_libsvm(text)
+        assert np.array_equal(bits(parsed.points), bits(ds.points))
+        assert np.array_equal(parsed.labels, ds.labels)
+
+    def test_a_sparse_line_reaches_convert_block(self, no_convert_block):
+        with pytest.raises(ConvertBlockCalled):
+            parse_libsvm("1 1:0.5 2:1.5\n0 2:2.5\n")
+
+    @pytest.mark.parametrize("label", [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1])
+    def test_labels_at_and_past_2_to_the_53_keep_every_digit(self, label):
+        # float64 holds every integer below 2**53; larger labels are read by int
+        lines = [f"{label} 1:0.5", "0 1:1.5"]
+        assert (data._dense_block(lines, 0, 0) is None) == (label >= 2 ** 53)
+        assert parse_libsvm("\n".join(lines)).labels.tolist() == [label, 0]
+
+
 class TestParseFilesByBlocks:
     """A path or file object is read one block at a time, not held whole."""
 
@@ -701,6 +738,11 @@ class TestGenSynthetic:
             gen_synthetic("ring", 0, 0.1, 0)
         with pytest.raises(ValueError):
             gen_synthetic("ring", 10, -0.1, 0)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf, -0.1])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match=r"noise must be finite and >= 0"):
+            gen_synthetic("ring", 3, noise, 0)
 
 
 class TestStandardize:

@@ -1,8 +1,10 @@
-"""Property tests for the k-means++ seeding and the Lloyd loop on drawn inputs.
+"""Property tests for the k-means++ seeding, the Lloyd loop and the dense
+LIBSVM fast path on drawn inputs.
 
-Inputs are drawn with duplicated rows, offsets far from the origin and
-scales from 1e-8 to 1e8; the runs are derandomized and keep no example
-database, so every run checks the same examples.
+Cluster inputs are drawn with duplicated rows, offsets far from the origin
+and scales from 1e-8 to 1e8; LIBSVM blocks are dense with near-miss tokens
+mixed in.  The runs are derandomized and keep no example database, so every
+run checks the same examples.
 """
 
 import warnings
@@ -13,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from icfcluster import kmeans_pp_init, lloyd  # noqa: E402
+from icfcluster import data, kmeans_pp_init, lloyd  # noqa: E402
 
 # hypothesis's pytest plugin imports a module that warns of a deprecation
 # while it reports a failing example; under filterwarnings = error that
@@ -102,3 +104,86 @@ def test_bad_points_raise_only_value_error_and_never_warn(case):
             except ValueError:
                 continue
         assert not non_finite, f"{fit.__name__} accepted a NaN or inf"
+
+
+# tokens at the edge of what the fast path may take: ones that int or float
+# read otherwise than np.loadtxt does, ones either refuses, odd spellings both
+# read alike, and labels on either side of 2**53; an index near-miss is made
+# for index j
+LABEL_MISSES = ("1.0", "-0", "2.5", "9007199254740993", "9007199254740991", "1e1", "+7")
+INDEX_MISSES = (lambda j: f"{j}.0", lambda j: f"{j}e0", lambda j: f"+{j}", lambda j: f"0{j}",
+                lambda j: "_".join(f"0{j}"), lambda j: f"0x{j}")
+VALUE_MISSES = ("1_0", "\u0661", "infinity", "1e400", "nan", ".5", "5.", "-0", "1e-400")
+# a tab or a double space in place of a space, or a blank before or after a line
+BLANKS = ("\t", "  ", "lead", "trail")
+FAULTS = ([("label", m) for m in LABEL_MISSES] + [("index", m) for m in INDEX_MISSES]
+          + [("value", m) for m in VALUE_MISSES] + [("blank", m) for m in BLANKS]
+          + [("empty", m) for m in ("label", "index", "value")]
+          + [("order", None), ("sparse", None), ("blank line", ""), ("blank line", " ")])
+
+
+@st.composite
+def dense_blocks(draw):
+    """(lines, num_features, clean): a dense block of 1-30 lines and 1-20
+    features with up to two faults, each a near-miss token, an empty token,
+    a stray blank, two indices out of order, a missing index or a blank
+    line; clean when there is none."""
+    n_rows, w = draw(st.integers(1, 30)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_rows, w)) * 10.0 ** rng.integers(-6, 7, size=(n_rows, w))
+    values[rng.random((n_rows, w)) < 0.1] = rng.integers(-3, 4)
+    rows = [[str(label)] + [f"{j}:{v!r}" for j, v in enumerate(row, 1)]
+            for label, row in zip(rng.integers(0, 20, n_rows).tolist(), values.tolist())]
+    seps = [[" "] * w for _ in rows]
+    blank_lines = []
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, n_rows - 1), st.integers(1, w)),
+                           max_size=2))
+    for (kind, miss), i, j in faults:
+        index, value = rows[i][j].split(":", 1)
+        if kind == "label":
+            rows[i][0] = miss
+        elif kind == "index":
+            rows[i][j] = f"{miss(j)}:{value}"
+        elif kind == "value":
+            rows[i][j] = f"{index}:{miss}"
+        elif kind == "empty" and miss == "label":
+            rows[i][0] = ""
+        elif kind == "empty":
+            rows[i][j] = f":{value}" if miss == "index" else f"{index}:"
+        elif kind == "blank":
+            seps[i][j - 1] = miss
+        elif kind == "order" and w == 1:
+            rows[i][j] = f"0:{value}"
+        elif kind == "order":
+            k = j - 1 if j == w else j + 1
+            rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
+        elif kind == "sparse":
+            rows[i][j] = f"{j + 1}:{value}"
+        else:
+            blank_lines.append((i, miss))
+    lines = []
+    for row, sep in zip(rows, seps):
+        line = row[0] + "".join((" " if s in ("lead", "trail") else s) + token for s, token in zip(sep, row[1:]))
+        lines.append(" " + line if "lead" in sep else line + " " if "trail" in sep else line)
+    for i, blank in sorted(blank_lines, reverse=True):
+        lines.insert(i + 1, blank)
+    num_features = draw(st.sampled_from([None, w, w + 3, max(w - 1, 1)]))
+    return lines, num_features, not faults
+
+
+@settings(SETTINGS, max_examples=400)
+@given(dense_blocks())
+def test_dense_block_takes_what_convert_block_takes_with_the_same_bits(case):
+    lines, num_features, clean = case
+    fast = data._dense_block(lines, 0, 0, num_features)
+    try:
+        labels, rows = data._convert_block(lines, 0, 0, num_features)
+    except ValueError:
+        assert fast is None
+        return
+    if clean:
+        assert fast is not None
+    if fast is not None:
+        assert fast[0].dtype == labels.dtype and np.array_equal(fast[0], labels)
+        assert fast[1].shape == rows.shape
+        assert np.array_equal(fast[1].view(np.int64), rows.view(np.int64))
