@@ -117,19 +117,16 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
 def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: int):
     """Nystrom rows Z = K_MB W of a sorted uniform sample, and W = U_r D_r^{-1/2}.
 
-    K_MB are the sample's Gram columns and U D U^T is K_BB with the
-    eigenvalues _clamped_eigh zeroes dropped, so W W^T is its pseudo-inverse.
+    K_MB are the sample's Gram columns and U D U^T is K_BB over the
+    eigenpairs _clamped_eigh keeps, so W W^T is its pseudo-inverse.
     K_MB is freed on return; only Z and W outlive the call.
     """
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
     B = np.sort(np.random.default_rng(seed).choice(dataset.n, size=subset_size, replace=False))
     K_MB = kernel_columns(spec, dataset, B)
-    w, U = _clamped_eigh(K_MB[B])
-    keep = w > 0.0
-    if not np.any(keep):
-        raise ValueError("sampled kernel block is numerically zero")
-    W = U[:, keep] / np.sqrt(w[keep])
+    w, U = _clamped_eigh(K_MB[B], "sampled kernel block")
+    W = U / np.sqrt(w)
     return K_MB @ W, W
 
 

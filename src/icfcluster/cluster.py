@@ -197,8 +197,8 @@ def kernel_kmeans_oracle(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
     """Exact kernel k-means on the full Gram matrix (guarded; for reference).
 
     Embeds points as rows of U sqrt(D) from the eigendecomposition of K, with
-    eigenvalues below EIG_CLAMP times the largest clamped to zero, then runs
-    the same Lloyd code as the factored path.
+    the eigenpairs at or below EIG_CLAMP times the largest eigenvalue
+    dropped, then runs the same Lloyd code as the factored path.
     """
     embed = oracle_embedding(dataset, spec, guard=guard)
     return lloyd(embed, k, seed, max_iter=max_iter)
@@ -210,16 +210,23 @@ def oracle_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GU
 
 
 def psd_embedding(K: np.ndarray) -> np.ndarray:
-    """Rows of U sqrt(D) for a symmetric PSD matrix, small eigenvalues zeroed."""
-    w, U = _clamped_eigh(K)
+    """Rows of U sqrt(D) for a symmetric PSD matrix, over the eigenpairs that
+    _clamped_eigh keeps; ValueError when K is numerically zero."""
+    w, U = _clamped_eigh(K, "kernel matrix")
     return U * np.sqrt(w)
 
 
-def _clamped_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a symmetric matrix, eigenvalues <= EIG_CLAMP times the largest set to 0."""
+def _clamped_eigh(K: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a symmetric matrix without the eigenpairs at or below EIG_CLAMP
+    times the largest eigenvalue, in ascending order.
+
+    Raises ValueError, naming the matrix, when no pair is left.
+    """
     w, U = np.linalg.eigh(K)
-    w[w <= EIG_CLAMP * max(float(w[-1]), 0.0)] = 0.0
-    return w, U
+    first = int(np.searchsorted(w, EIG_CLAMP * max(float(w[-1]), 0.0), side="right"))
+    if first == len(w):
+        raise ValueError(f"{name} is numerically zero")
+    return w[first:], U[:, first:]
 
 
 def _lowest_rows(scores: np.ndarray) -> np.ndarray:

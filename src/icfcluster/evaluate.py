@@ -290,7 +290,7 @@ def _run_cell(row: BenchmarkRow, spec: KernelSpec, config: BenchmarkConfig, done
                 done[served] = numbers
     numbers = done.pop(key)
     row.objective, row.accuracy, row.achieved_rank, row.factorize_ms, row.cluster_ms = numbers
-    row.total_ms = row.factorize_ms + row.cluster_ms
+    row.total_ms = row.factorize_ms + (row.cluster_ms or 0.0)
 
 
 def _build_rows(spec: KernelSpec, algorithm: str, subset_size: int, seed: int,
@@ -304,7 +304,9 @@ def _build_rows(spec: KernelSpec, algorithm: str, subset_size: int, seed: int,
     serve their own row.  A Nystrom sample serves the nystrom and approx rows
     of its seed through one Lloyd run on its rows Z = K_MB W.  Both rows'
     factorize_ms covers the sample's Z and W; nystrom's cluster_ms covers
-    Lloyd, approx's Lloyd and the residual.
+    Lloyd, approx's Lloyd and the residual.  An embedding with no columns
+    is not clustered: its rows report rank 0 and factorize_ms, and leave the
+    objective, accuracy and cluster_ms empty.
     """
     dataset, k = config.dataset, config.clusters
     t0 = time.perf_counter()
@@ -329,6 +331,9 @@ def _build_rows(spec: KernelSpec, algorithm: str, subset_size: int, seed: int,
     factorize_ms = (time.perf_counter() - t0) * 1e3
     rows = {}
     for cluster_seed in seeds:
+        if not embed.shape[1]:
+            rows[algorithm, subset_size, cluster_seed] = (None, None, 0, factorize_ms, None)
+            continue
         t1 = time.perf_counter()
         model = lloyd(embed, k, cluster_seed, max_iter=config.max_iter)
         cluster_ms = (time.perf_counter() - t1) * 1e3

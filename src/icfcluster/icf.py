@@ -21,8 +21,9 @@ step, the loop guesses a few likely next pivots at the start of each block
 of steps and takes their products with the finished columns in one matrix
 product; a step whose pivot was guessed reads only its block's own columns.
 The guesses cost no kernel evaluations.  A guess changes a column only by
-rounding, and the guesses depend on the finished columns alone, so stepping
-a factor one column at a time reproduces the one-shot loop bit for bit.
+rounding, and the guesses depend on the finished columns alone, so a column
+never depends on max_rank: the rank-r factor is, bit for bit, the first r
+columns, pivots and trace-history entries of any larger one.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ import numpy as np
 from .data import Dataset, _read_only, _ValueType
 from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 
-# residual diagonal entries may round slightly negative; anything below this
-# indicates a genuinely indefinite update, not rounding
+# residual diagonal entries may round slightly negative, by an amount that
+# scales with their kernel diagonal entry; anything below this fraction of
+# K[j, j] indicates a genuinely indefinite update, not rounding
 NEGATIVE_TOL = 1e-10
 
 # a pivot whose fresh nu^2 = K[t,t] - u.u falls to this fraction of K[t,t] is
@@ -131,6 +133,23 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
     max_rank columns have been built, or when the best remaining pivot is
     numerically rank-exhausted (nu^2 <= RANK_TOL * K[t, t]).
 
+    PT holds the factor transposed, a column per contiguous row, so a step's
+    products and downdate stream memory; P is a view of it.  A factor that
+    stops short copies its rows out, so it holds no spare buffer rows.
+
+    Step s pivots on the largest residual entry t, fills PT[s] in place as
+    (col - u P) / nu and downdates e with col, Gram column t, as scratch.
+    Residuals rounding into [-NEGATIVE_TOL K[j, j], 0) are clamped to 0; lower
+    ones raise BreakdownError(s, the lowest residual).
+
+    u P is taken from a panel where it can.  The rows of PT form blocks of
+    _BLOCK.  At the first step of block m >= 1 (s = mB), one matrix product
+    gives the panel, the products with PT[:mB] of the _CANDIDATES likeliest
+    pivots: the unselected indices with the largest r = diag - sum_{j<mB}
+    P[:, j]^2, kept apart from e and folded one finished block at a time.  A
+    step whose pivot is a candidate adds the products with the block's own
+    rows to its panel row; any other step reads all of PT.
+
     Args:
         dataset: points defining the Gram matrix.
         spec: kernel to apply.
@@ -142,25 +161,54 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
         raise ValueError(f"max_rank must be in [1, {n}], got {max_rank}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    diag = kernel_diag(spec, dataset).astype(np.float64, copy=True)
-    empty = IcfFactor._adopt(np.empty((n, 0)), np.empty(0, np.int64), diag, np.array([float(np.sum(diag))]), n)
-    return _grow(empty, dataset, spec, diag, max_rank, epsilon)[0]
-
-
-def icf_step(factor: IcfFactor, dataset: Dataset, spec: KernelSpec) -> IcfFactor:
-    """Extend a factor by one pivot column, returning a new factor.
-
-    Raises ValueError when no positive residual is left and BreakdownError
-    when the best pivot is rank-exhausted.
-    """
-    if dataset.n != factor.n:
-        raise ValueError("dataset does not match factor size")
-    if factor.s >= factor.n:
-        raise ValueError("factor already has n columns")
-    grown, refusal = _grow(factor, dataset, spec, kernel_diag(spec, dataset), factor.s + 1, -math.inf)
-    if refusal is not None:
-        raise refusal
-    return grown
+    diag = kernel_diag(spec, dataset)
+    PT = np.empty((max_rank, n))
+    pivots = np.empty(max_rank, dtype=np.int64)
+    e, r, rows = diag.copy(), diag.copy(), {}
+    history = [float(np.sum(diag))]
+    panel = np.empty((min(_CANDIDATES, n), n)) if max_rank > _BLOCK else None
+    s = 0
+    while s < max_rank and history[-1] > epsilon:
+        # e is non-negative with selected entries pinned to exactly 0, and its
+        # sum is above epsilon > 0, so the argmax is positive and unselected;
+        # ties go to the smallest index
+        t = int(np.argmax(e))
+        u = PT[:s, t]
+        nu_sq = float(diag[t] - u @ u)
+        if not nu_sq > RANK_TOL * diag[t]:
+            break
+        nu = float(np.sqrt(nu_sq))
+        col = kernel_column(spec, dataset, t)
+        start = s - s % _BLOCK
+        if s and s == start:
+            block = PT[s - _BLOCK:s]
+            r -= np.einsum("ij,ij->j", block, block)
+            r[pivots[s - _BLOCK:s]] = -np.inf
+            candidates = np.sort(np.argpartition(r, n - len(panel))[n - len(panel):])
+            np.matmul(PT[:s, candidates].T, PT[:s], out=panel)
+            rows = dict(zip(candidates.tolist(), range(len(panel))))
+        p = PT[s]
+        if t in rows:
+            np.matmul(PT[start:s, t], PT[start:s], out=p)
+            p += panel[rows[t]]
+        else:
+            np.matmul(u, PT[:s], out=p)
+        np.subtract(col, p, out=p)
+        p /= nu
+        p[pivots[:s]] = 0.0
+        p[t] = nu
+        pivots[s] = t
+        e -= np.multiply(p, p, out=col)
+        e[t] = 0.0
+        worst = float(np.min(e))
+        if worst < 0.0:
+            if np.any(e < -NEGATIVE_TOL * diag):
+                raise BreakdownError(s, worst)
+            np.clip(e, 0.0, None, out=e)
+        history.append(float(np.sum(e)))
+        s += 1
+    P = (PT if s == max_rank else PT[:s].copy()).T
+    return IcfFactor._adopt(P, pivots[:s], e, np.array(history), n * (s + 1))
 
 
 def reconstruct(factor: IcfFactor, guard: int = DEFAULT_GUARD) -> np.ndarray:
@@ -265,92 +313,3 @@ def _finite_floats(line: str, section: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{section} holds a non-finite value")
     return values
-
-
-def _grow(factor: IcfFactor, dataset: Dataset, spec: KernelSpec, diag: np.ndarray,
-          rank: int, epsilon: float) -> tuple[IcfFactor, Exception | None]:
-    """factor grown to rank columns or until its residual trace is at most
-    epsilon, and the unraised error of the refused step that stopped it, or None.
-
-    PT holds the factor transposed, a column per contiguous row, so a step's
-    products and downdate stream memory; P is a view of it.  PT is a fresh
-    buffer of rank rows with the factor copied in, so a growth never writes
-    into a factor already handed out.  A growth that stops short copies its
-    rows out, so the factor holds no spare buffer rows; one that took no step
-    returns factor itself.
-
-    Step s pivots on the largest residual entry t, fills PT[s] in place as
-    (col - u P) / nu and downdates e with col, Gram column t, as scratch.  A
-    refused step changes nothing: ValueError when no positive residual is left,
-    BreakdownError(s, nu^2) at rank exhaustion, before a kernel column is spent.
-    Residuals rounding into [-NEGATIVE_TOL, 0) are clamped to 0; lower ones raise
-    BreakdownError.
-
-    u P is taken from a panel where it can.  The rows of PT form blocks of
-    _BLOCK.  At the first step of block m >= 1 (s = mB), one matrix product
-    gives the panel, the products with PT[:mB] of the _CANDIDATES likeliest
-    pivots: the unselected indices with the largest r = diag - sum_{j<mB}
-    P[:, j]^2, kept apart from e and folded one completed block at a time in
-    a fixed order.  A step whose pivot is a candidate adds the products with
-    the block's own rows to its panel row; any other step reads all of PT.
-    So a column depends on P[:, :s] and t alone, not on where the growth
-    started: a growth that starts inside a block builds that block's panel.
-    """
-    n, s = factor.n, factor.s
-    PT = np.empty((rank, n))
-    PT[:s] = factor.P.T
-    pivots = np.empty(rank, dtype=np.int64)
-    pivots[:s] = factor.pivots
-    e = factor.residual_diag.copy()
-    history = factor.trace_history.tolist()
-    refusal = None
-    r, start, rows = diag.copy(), 0, {}
-    panel = np.empty((min(_CANDIDATES, n), n)) if rank > _BLOCK else None
-    while s < rank and history[-1] > epsilon:
-        # selected entries are pinned to exactly 0 and the rest kept non-negative,
-        # so a positive argmax is unselected; ties go to the smallest index
-        t = int(np.argmax(e))
-        if not e[t] > 0.0:
-            refusal = ValueError("no unselected index with positive residual remains")
-            break
-        u = PT[:s, t]
-        nu_sq = float(diag[t] - u @ u)
-        if not nu_sq > RANK_TOL * diag[t]:
-            refusal = BreakdownError(s, nu_sq)
-            break
-        nu = float(np.sqrt(nu_sq))
-        col = kernel_column(spec, dataset, t)
-        if s - s % _BLOCK > start:
-            for j in range(start, s - s % _BLOCK, _BLOCK):
-                block = PT[j:j + _BLOCK]
-                r -= np.einsum("ij,ij->j", block, block)
-                r[pivots[j:j + _BLOCK]] = -np.inf
-            start = s - s % _BLOCK
-            candidates = np.sort(np.argpartition(r, n - len(panel))[n - len(panel):])
-            np.matmul(PT[:start, candidates].T, PT[:start], out=panel)
-            rows = dict(zip(candidates.tolist(), range(len(panel))))
-        p = PT[s]
-        if t in rows:
-            np.matmul(PT[start:s, t], PT[start:s], out=p)
-            p += panel[rows[t]]
-        else:
-            np.matmul(u, PT[:s], out=p)
-        np.subtract(col, p, out=p)
-        p /= nu
-        p[pivots[:s]] = 0.0
-        p[t] = nu
-        pivots[s] = t
-        e -= np.multiply(p, p, out=col)
-        e[t] = 0.0
-        worst = float(np.min(e))
-        if worst < 0.0:
-            if worst < -NEGATIVE_TOL:
-                raise BreakdownError(s, worst)
-            np.clip(e, 0.0, None, out=e)
-        history.append(float(np.sum(e)))
-        s += 1
-    if s == factor.s:
-        return factor, refusal
-    evals = factor.kernel_evals + n * (s - factor.s)
-    P = (PT if s == rank else PT[:s].copy()).T
-    return IcfFactor._adopt(P, pivots[:s], e, np.array(history), evals), refusal

@@ -185,6 +185,21 @@ class TestBench:
         assert icf[:4] == ["ring", "icf", "5", "0"] and all(icf[4:])
         assert lines[3].startswith("algorithm=kernel rows=1 skipped=1 ")
 
+    def test_a_rank_0_factor_leaves_its_row_unclustered_and_the_sweep_goes_on(self, capsys):
+        # epsilon above tr(K) = 6 stops the factorization before its first column
+        code, stdout, _ = run_cli(
+            capsys, "bench", "synth:ring:3:0.1:0", "--sigma", "1", "--epsilon", "1e9",
+            "--subset-size", "2", "--seeds", "1", "--algorithms", "rff,icf")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[1].startswith("ring,rff,2,0,") and all(lines[1].split(",")[4:])
+        icf = lines[2].split(",")
+        assert icf[:4] == ["ring", "icf", "2", "0"]
+        accuracy, objective, rank, factorize_ms, cluster_ms, total_ms = icf[4:]
+        assert (accuracy, objective, rank, cluster_ms) == ("", "", "0", "")
+        assert float(factorize_ms) == float(total_ms) >= 0.0
+        assert len(lines) == 5
+
     def test_flags_reach_the_benchmark_config(self, capsys):
         spec = "synth:ring:30:0.05:2"
         code, stdout, _ = run_cli(

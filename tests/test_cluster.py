@@ -601,5 +601,11 @@ class TestEmbeddings:
         A = rng.normal(size=(10, 4))
         K = A @ A.T  # rank 4, so 6 eigenvalues are numerically zero-ish
         E = psd_embedding(K - 1e-14 * np.eye(10))
+        assert E.shape == (10, 4)
         assert np.all(np.isfinite(E))
         np.testing.assert_allclose(E @ E.T, K, atol=1e-7)
+
+    def test_psd_embedding_of_a_numerically_zero_matrix_names_the_cause(self):
+        for K in (np.zeros((5, 5)), -1e-20 * np.eye(5)):
+            with pytest.raises(ValueError, match="kernel matrix is numerically zero"):
+                psd_embedding(K)

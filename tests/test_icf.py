@@ -15,7 +15,6 @@ from icfcluster import (
     dump_factor,
     gen_synthetic,
     icf_factorize,
-    icf_step,
     kernel_column,
     kernel_diag,
     parse_factor_dump,
@@ -43,6 +42,24 @@ def arrays(factor: IcfFactor) -> list[bytes]:
     """The bits of a factor's arrays and its evaluation count."""
     return [a.tobytes() for a in (factor.P, factor.pivots, factor.residual_diag, factor.trace_history)] + [
         factor.kernel_evals]
+
+
+def prefix(factor: IcfFactor, r: int) -> list[bytes]:
+    """The bits of a factor's first r columns, pivots and trace-history entries."""
+    return [factor.P[:, :r].tobytes(), factor.pivots[:r].tobytes(), factor.trace_history[:r + 1].tobytes()]
+
+
+def assert_ranks_are_prefixes(ds: Dataset, spec: KernelSpec, larger: IcfFactor, ranks) -> None:
+    """Each rank-r factor is the first r steps of larger, with n (r + 1)
+    kernel evaluations; a rank past where larger stopped gives larger itself."""
+    for r in ranks:
+        f = icf_factorize(ds, spec, max_rank=r, epsilon=1e-300)
+        if r >= larger.s:
+            assert arrays(f) == arrays(larger), r
+        else:
+            assert f.s == r
+            assert prefix(f, r) == prefix(larger, r), r
+            assert f.kernel_evals == ds.n * (r + 1)
 
 
 def random_cases(seed: int, count: int) -> list:
@@ -210,13 +227,13 @@ class TestStoppingRules:
         K = full_gram(LINEAR, ds)
         assert residual_trace(f) <= 1e-8 * np.trace(K)
 
-    def test_step_beyond_rank_raises_breakdown(self):
-        ds = exact_rank_dataset(3, 5, 30)
-        f = icf_factorize(ds, LINEAR, max_rank=30, epsilon=1e-300)
-        with pytest.raises(BreakdownError) as info:
-            icf_step(f, ds, LINEAR)
-        assert info.value.iteration == 5
-        assert abs(info.value.value) < 1e-10
+    def test_rounding_far_from_unit_scale_is_not_a_breakdown(self):
+        # a linear Gram matrix of rank 1 with entries about 1e7: the second
+        # residual rounds to -9.3e-10, a relative error of 2e-16
+        ds = Dataset(np.array([[-3552.353900271567], [-1985.1077161171047]]))
+        f = icf_factorize(ds, LINEAR, max_rank=2, epsilon=1e-300)
+        assert f.s == 1
+        assert f.residual_diag.tolist() == [0.0, 0.0]
 
     def test_indefinite_update_raises_breakdown(self, monkeypatch):
         # K = [[1, 2], [2, 1]] is indefinite: the first step leaves 1 - 2^2 = -3
@@ -233,91 +250,32 @@ class TestStoppingRules:
         assert f.s == 50
 
 
-class TestIcfStep:
+class TestPrefix:
+    """A column depends on the columns before it alone, never on max_rank."""
+
     @pytest.mark.parametrize("ds,spec", [case[:2] for case in FACTOR_CASES])
-    def test_stepwise_equals_one_shot(self, ds, spec):
-        # step until icf_step refuses: the one-shot loop stops at the same
-        # rank, and the refusal names why it stopped
-        f = icf_factorize(ds, spec, max_rank=1, epsilon=1e-300)
-        for _ in range(ds.n):
-            try:
-                f = icf_step(f, ds, spec)
-            except (ValueError, BreakdownError) as err:
-                refusal = err
-                break
-        else:
-            pytest.fail("icf_step never refused")
+    def test_every_smaller_rank_is_a_prefix(self, ds, spec):
+        # every rank up to the one where the loop stops, and one past it
         once = icf_factorize(ds, spec, max_rank=ds.n, epsilon=1e-300)
-        assert np.array_equal(f.P, once.P)
-        assert np.array_equal(f.pivots, once.pivots)
-        assert np.array_equal(f.trace_history, once.trace_history)
-        assert f.kernel_evals == once.kernel_evals
-        if once.s == ds.n or not np.max(once.residual_diag) > 0.0:
-            assert type(refusal) is ValueError
-        else:
-            assert type(refusal) is BreakdownError
-            assert refusal.iteration == once.s
+        assert_ranks_are_prefixes(ds, spec, once, range(1, min(once.s + 1, ds.n) + 1))
 
-    def test_each_step_takes_the_largest_residual_entry(self):
+    def test_each_pivot_is_the_largest_residual_entry(self):
         ds = rand_dataset(7, 25, 3)
-        f = icf_factorize(ds, GAUSS, max_rank=1, epsilon=1e-300)
-        for _ in range(14):
-            before = f.residual_diag.copy()
-            predicted = int(np.argmax(before))
-            f = icf_step(f, ds, GAUSS)
-            t = int(f.pivots[-1])
-            assert t == predicted
+        once = icf_factorize(ds, GAUSS, max_rank=15, epsilon=1e-300)
+        residuals = [kernel_diag(GAUSS, ds)]
+        residuals += [icf_factorize(ds, GAUSS, max_rank=r, epsilon=1e-300).residual_diag for r in range(1, 15)]
+        for r, before in enumerate(residuals):
+            t = int(once.pivots[r])
+            assert t == int(np.argmax(before))
             # the chosen entry of the residual diagonal is the squared pivot
-            # root of the appended column
-            nu_sq = float(f.P[t, -1]) ** 2
-            assert nu_sq == pytest.approx(before[predicted], rel=1e-8)
+            # root of the next column
+            assert float(once.P[t, r]) ** 2 == pytest.approx(before[t], rel=1e-8)
 
-    def test_step_increments_kernel_evals_by_n(self):
+    def test_kernel_evals_are_n_per_column_and_the_diagonal(self):
         ds = rand_dataset(8, 12, 2)
-        f = icf_factorize(ds, GAUSS, max_rank=1, epsilon=1e-300)
-        g = icf_step(f, ds, GAUSS)
-        assert g.kernel_evals == f.kernel_evals + 12
-
-    def test_step_on_saturated_factor_rejected(self):
-        pts = (np.arange(3, dtype=float) * 100.0).reshape(-1, 1)
-        ds = Dataset(pts)
-        f = icf_factorize(ds, KernelSpec(sigma=1.0), max_rank=3, epsilon=1e-300)
-        assert f.s == 3
-        with pytest.raises(ValueError):
-            icf_step(f, ds, KernelSpec(sigma=1.0))
-
-    def test_step_with_mismatched_dataset_rejected(self):
-        ds = rand_dataset(9, 10, 2)
-        f = icf_factorize(ds, GAUSS, max_rank=2, epsilon=1e-300)
-        other = rand_dataset(9, 11, 2)
-        with pytest.raises(ValueError):
-            icf_step(f, other, GAUSS)
-
-
-class TestStepBuffers:
-    """Every growth copies its factor into a fresh buffer, so no step
-    changes a factor handed out, whatever it was built by."""
-
-    def test_steps_never_change_an_earlier_factor_or_child(self):
-        ds = rand_dataset(11, 60, 3)
-        f = icf_step(icf_factorize(ds, GAUSS, max_rank=5, epsilon=1e-300), ds, GAUSS)
-        twin = copy.copy(f)
-        made = [f, twin]
-        bits = [arrays(f), arrays(twin)]
-        for parent, sigma in ((f, 0.5), (f, 0.5001), (twin, 0.5002), (twin, 0.5)):
-            made.append(icf_step(parent, ds, KernelSpec(sigma=sigma)))
-            bits.append(arrays(made[-1]))
-            made.append(icf_step(made[-1], ds, GAUSS))
-            bits.append(arrays(made[-1]))
-        assert [arrays(g) for g in made] == bits
-        # the two children of f and twin stepped with sigma 0.5 are the same factor
-        assert bits[2] == bits[8]
-
-    def test_a_factor_rebuilt_by_the_constructor_steps_like_the_loop(self):
-        ds = rand_dataset(12, 40, 3)
-        f = icf_factorize(ds, GAUSS, max_rank=3, epsilon=1e-300)
-        rebuilt = IcfFactor(f.P, f.pivots, f.residual_diag, f.trace_history, f.kernel_evals)
-        assert arrays(icf_step(rebuilt, ds, GAUSS)) == arrays(icf_factorize(ds, GAUSS, max_rank=4, epsilon=1e-300))
+        for r in range(1, 13):
+            f = icf_factorize(ds, GAUSS, max_rank=r, epsilon=1e-300)
+            assert (f.s, f.kernel_evals) == (r, 12 * (r + 1))
 
 
 def mixture_dataset(seed: int, n: int, d: int, classes: int) -> Dataset:
@@ -378,32 +336,26 @@ class TestPanel:
     column must still depend on P and t alone."""
 
     @pytest.mark.parametrize("ds,spec,rank", PANEL_CASES)
-    def test_stepwise_equals_one_shot_across_blocks(self, ds, spec, rank):
+    def test_ranks_on_both_sides_of_every_block_edge_are_prefixes(self, ds, spec, rank):
         assert rank >= 5 * icf._BLOCK + 1
-        f = icf_factorize(ds, spec, max_rank=1, epsilon=1e-300)
-        while f.s < rank:
-            f = icf_step(f, ds, spec)
-        assert arrays(f) == arrays(icf_factorize(ds, spec, max_rank=rank, epsilon=1e-300))
+        once = icf_factorize(ds, spec, max_rank=rank, epsilon=1e-300)
+        assert once.s == rank
+        edges = range(icf._BLOCK, rank, icf._BLOCK)
+        assert_ranks_are_prefixes(ds, spec, once, sorted({r + d for r in edges for d in (-1, 0, 1)}))
 
-    def test_stepwise_equals_one_shot_up_to_rank_exhaustion(self):
-        # a linear Gram matrix of rank 90: steps until the refusal, past five blocks
+    def test_ranks_are_prefixes_up_to_rank_exhaustion(self):
+        # a linear Gram matrix of rank 90: the loop stops there, past five blocks
         ds = exact_rank_dataset(24, 90, 273)
-        f = icf_factorize(ds, LINEAR, max_rank=1, epsilon=1e-300)
-        with pytest.raises(BreakdownError):
-            while True:
-                f = icf_step(f, ds, LINEAR)
         once = icf_factorize(ds, LINEAR, max_rank=ds.n, epsilon=1e-300)
-        assert once.s == f.s >= 5 * icf._BLOCK
-        assert arrays(f) == arrays(once)
+        assert once.s == 90
+        edges = range(icf._BLOCK, once.s + icf._BLOCK, icf._BLOCK)
+        ranks = {r + d for r in edges for d in (-1, 0, 1)} | {89, 90, 91, ds.n}
+        assert_ranks_are_prefixes(ds, LINEAR, once, sorted(ranks))
 
-    @pytest.mark.parametrize("start", [64, 65, 70, 79])
-    def test_a_rebuilt_factor_grows_like_the_loop_from_inside_a_block(self, start):
-        ds, spec, rank = PANEL_CASES[0]
-        f = icf_factorize(ds, spec, max_rank=start, epsilon=1e-300)
-        rebuilt = IcfFactor(f.P, f.pivots, f.residual_diag, f.trace_history, f.kernel_evals)
-        for _ in range(rank - start):
-            rebuilt = icf_step(rebuilt, ds, spec)
-        assert arrays(rebuilt) == arrays(icf_factorize(ds, spec, max_rank=rank, epsilon=1e-300))
+    @pytest.mark.parametrize("rank", [64, 65, 70, 79])
+    def test_a_rank_inside_a_block_is_a_prefix(self, rank):
+        ds, spec, larger = PANEL_CASES[0]
+        assert_ranks_are_prefixes(ds, spec, icf_factorize(ds, spec, max_rank=larger, epsilon=1e-300), [rank])
 
     @pytest.mark.parametrize("ds,spec,rank", PANEL_CASES)
     def test_matches_the_plain_loop(self, ds, spec, rank):

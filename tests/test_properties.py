@@ -1,9 +1,9 @@
-"""Property tests for the k-means++ seeding, the Lloyd loop and the dense
-LIBSVM fast path on drawn inputs.
+"""Property tests for the k-means++ seeding, the Lloyd loop, the dense
+LIBSVM fast path and the incomplete Cholesky factor on drawn inputs.
 
 Cluster inputs are drawn with duplicated rows, offsets far from the origin
 and scales from 1e-8 to 1e8; LIBSVM blocks are dense with near-miss tokens
-mixed in.  The runs are derandomized and keep no example database, so every
+mixed in; factor inputs span several panel blocks and reach rank exhaustion.  The runs are derandomized and keep no example database, so every
 run checks the same examples.
 """
 
@@ -15,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from icfcluster import data, kmeans_pp_init, lloyd  # noqa: E402
+from icfcluster import Dataset, KernelSpec, data, icf_factorize, kmeans_pp_init, lloyd  # noqa: E402
 
 # hypothesis's pytest plugin imports a module that warns of a deprecation
 # while it reports a failing example; under filterwarnings = error that
@@ -187,3 +187,40 @@ def test_dense_block_takes_what_convert_block_takes_with_the_same_bits(case):
         assert fast[0].dtype == labels.dtype and np.array_equal(fast[0], labels)
         assert fast[1].shape == rows.shape
         assert np.array_equal(fast[1].view(np.int64), rows.view(np.int64))
+
+
+@st.composite
+def factor_inputs(draw):
+    """(dataset, spec, r, s): 2-300 points in 1-5 dimensions, drawn from
+    fewer distinct rows when the draw says so, times a scale; the linear
+    kernel or a Gaussian one whose width is within 10^2 of the scale; and
+    two ranks 1 <= r < s <= n."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 5))
+    distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    points = scale * rng.normal(size=(distinct, d))[rng.integers(distinct, size=n)]
+    spec = draw(st.one_of(st.just(KernelSpec(family="linear")),
+                          st.floats(-2.0, 2.0).map(lambda x: KernelSpec(sigma=scale * 10.0 ** x))))
+    s = draw(st.integers(2, n))
+    return Dataset(points), spec, draw(st.integers(1, s - 1)), s
+
+
+@settings(SETTINGS, max_examples=100)
+@given(factor_inputs())
+def test_a_smaller_rank_is_a_prefix_of_a_larger_one(case):
+    dataset, spec, r, s = case
+    small, large = (icf_factorize(dataset, spec, max_rank=rank, epsilon=1e-300) for rank in (r, s))
+    for f in (small, large):
+        assert f.kernel_evals == dataset.n * (f.s + 1)
+        assert np.all(np.diff(f.trace_history) <= 0.0)
+        assert np.all(f.nu > 0.0)
+    # the smaller factor stops at r or where the larger one stopped
+    q = small.s
+    assert q == min(r, large.s)
+    assert small.P.tobytes() == large.P[:, :q].tobytes()
+    assert small.pivots.tobytes() == large.pivots[:q].tobytes()
+    assert small.trace_history.tobytes() == large.trace_history[:q + 1].tobytes()
+    if q == large.s:
+        assert small.residual_diag.tobytes() == large.residual_diag.tobytes()
