@@ -102,7 +102,7 @@ class IcfFactor(_ValueType):
         diag = _read_only(diag, np.float64, copy)
         hist = _read_only(hist, np.float64, copy)
         n, s = P.shape
-        if pivots.shape != (s,) or len(np.unique(pivots)) != s:
+        if pivots.shape != (s,) or not _distinct(pivots):
             raise ValueError("pivots must be s distinct indices")
         if np.any((pivots < 0) | (pivots >= n)):
             raise ValueError(f"pivots must be indices in [0, {n})")
@@ -124,6 +124,12 @@ class IcfFactor(_ValueType):
     def nu(self) -> np.ndarray:
         """Each step's nu = sqrt(K[t, t] - u.u), read from P[pivots[j], j]."""
         return self.P[self.pivots, np.arange(self.s)]
+
+
+def _distinct(a: np.ndarray) -> bool:
+    """Whether the entries of a 1-d array differ; np.unique would import numpy.ma."""
+    a = np.sort(a)
+    return not np.any(a[1:] == a[:-1])
 
 
 def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: float = 1e-3) -> IcfFactor:
@@ -226,17 +232,169 @@ def residual_trace(factor: IcfFactor) -> float:
 def dump_factor(factor: IcfFactor) -> str:
     """Serialize a factor to text: header, pivots, P rows, trace history.
 
-    Values are written as %.17e, which round-trips float64 exactly; each row
-    of P is formatted by one template, one row at a time.
+    Values are written as %.17e, which round-trips float64 exactly.  The
+    rows of P are formatted a block of about _DUMP_BLOCK values at a time
+    (_format_rows), and the text equals "%.17e" % v for every value.  A value
+    that is NaN or infinite, which parse_factor_dump would refuse, raises
+    ValueError naming the first such row of P, or the trace history, before
+    any text is formatted.
     """
-    row = " ".join(["%.17e"] * factor.s) + "\n"
-    history = " ".join(["%.17e"] * (factor.s + 1)) + "\n"
+    P, history = factor.P, factor.trace_history
+    finite = np.isfinite(P).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"cannot dump: row {int(np.argmin(finite))} of P holds a non-finite value")
+    if not np.isfinite(history).all():
+        raise ValueError("cannot dump: the trace history holds a non-finite value")
+    rows = max(1, _DUMP_BLOCK // max(factor.s, 1))
     return "".join([
         f"ICF {factor.n} {factor.s}\n",
         " ".join(map(str, factor.pivots.tolist())) + "\n",
-        *(row % tuple(p.tolist()) for p in factor.P),
-        history % tuple(factor.trace_history.tolist()),
+        *(_format_rows(P[start:start + rows]) for start in range(0, factor.n, rows)),
+        _format_rows(history[None, :]),
     ])
+
+
+# the dump is formatted in blocks of about this many values, so the writer's
+# temporaries stay near a megabyte whatever the size of the factor
+_DUMP_BLOCK = 2 ** 13
+
+# one formatted value is a fixed-width record of 28 bytes: 0-1 filler, 2 the
+# sign or filler, 3 the first digit, 4 the point, 5-21 the other 17 digits,
+# 22 "e", 23-25 the exponent's sign and two digits, 26 the separator and 27
+# filler.  The 18 digits are written to 4-21 in 4- and 2-byte groups at
+# aligned offsets, and the first is then moved in front of the point; the
+# filler byte is deleted from the text.  A value written by "%.17e" itself
+# (at most 25 characters) fills the record from its start.
+_RECORD = np.frombuffer(b"\0\0\0\0" + b"0" * 18 + b"e+00 \0", np.uint8)
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
+
+# the exact path covers 1e-27 <= |v| < 1e17, where the decimal exponent E is
+# in [-27, 16] and the significand round(|v| 10^(17 - E)) needs 10^k for k up
+# to 44, taken as 10^(k - 22) times 10^22; every 10^k with k <= 22 is a double
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 2.0 ** 27 + 1
+
+
+def _format_rows(a: np.ndarray) -> str:
+    """The rows of a as dump lines, each value written as "%.17e" writes it.
+
+    Zeros and values in [1e-27, 1e17) in magnitude are formatted from their
+    exact 18-digit significands (_decimal); any other value is formatted by
+    "%.17e" itself.
+    """
+    rows, s = a.shape
+    if not s:
+        return "\n" * rows
+    v = a.ravel()
+    mag = np.abs(v)
+    in_range = (mag >= 1e-27) & (mag < 1e17)
+    exact = np.flatnonzero(in_range)
+    m = np.zeros(v.size, np.int64)
+    e = np.zeros(v.size, np.int64)
+    m[exact], e[exact] = _decimal(mag[exact])
+    rec = np.empty((v.size, _RECORD.size), np.uint8)
+    rec[:] = _RECORD
+    rec[s - 1::s, 26] = ord("\n")
+    rec[np.signbit(v), 2] = ord("-")
+    rec[e < 0, 23] = ord("-")
+    # digit groups from the tables; mode="clip" lets np.take write straight
+    # into a strided column instead of through a buffer
+    quads, pairs = rec.view(np.uint32), rec.view(np.uint16)
+    q = m // 100
+    np.take(_PAIRS, m - 100 * q, out=pairs[:, 10], mode="clip")
+    np.take(_PAIRS, np.abs(e), out=pairs[:, 12], mode="clip")
+    for col, part in ((1, q // 10 ** 8), (3, q % 10 ** 8)):
+        high = part // 10 ** 4
+        np.take(_QUADS, high, out=quads[:, col], mode="clip")
+        np.take(_QUADS, part - 10 ** 4 * high, out=quads[:, col + 1], mode="clip")
+    rec[:, 3] = rec[:, 4]
+    rec[:, 4] = ord(".")
+    other = np.flatnonzero(~in_range & (mag != 0.0))
+    if other.size:
+        text = "".join([("%.17e" % x).ljust(26, "\0") for x in v[other].tolist()])
+        rec[other, :26] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 26)
+    return rec.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, E) with x ~ M 10^(E - 17) as "%.17e" rounds it, for 1e-27 <= x < 1e17.
+
+    E starts from np.log10, which can miss by one next to a power of ten,
+    and the exact significand shows the miss: M >= 10^18 means E is one too
+    low, M < 10^17 one too high.  M = 10^17 can also be x 10^(17 - E) rounded
+    up from below 10^17, as for 1e-14, which lies below 10^-14 and prints as
+    9.99999999999999999e-15; so E is tried one lower there too, and kept
+    where the significand stays below 10^18.
+    """
+    e = np.clip(np.floor(np.log10(x)), -27, 16).astype(np.int64)
+    m = _significands(x, 17 - e)
+    for shift, moved in ((1, m >= 10 ** 18), (-1, m <= 10 ** 17)):
+        i = np.flatnonzero(moved)
+        if i.size:
+            m_i = _significands(x[i], 17 - e[i] - shift)
+            keep = m_i < 10 ** 18
+            m[i[keep]], e[i[keep]] = m_i[keep], e[i[keep]] + shift
+    return m, e
+
+
+def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round_half_even(x 10^k) for 0 <= k <= 44 where that is in [1e16, 2^63), exactly.
+
+    x 10^k is h + l2 for the Dekker product (h, l2) = x 10^k when k <= 22.
+    For k > 22 it is h + l2 + h3 + l3 for three: (h1, l1) = x 10^(k - 22),
+    (h, l2) = h1 10^22 and (h3, l3) = l1 10^22.  h is at least 2^53, so an
+    even integer, and the result is h + round_half_even(T) for the tail T.
+    T is summed exactly into the nonoverlapping expansion g0 + g1 + g2
+    (Knuth's two-sum grown as in Shewchuk 1997), whose lower part g0 + g1
+    lies below both 2^-40 and the lowest bit of g2.  So with r = rint(g2) and
+    d = g2 - r, exact in [-1/2, 1/2], the sign of T - r - c for c = +-1/2 is
+    the sign of d - c, or where d = c that of g1, or where g1 = 0 of g0.
+    """
+    far = np.flatnonzero(k > 22)
+    h1, l1 = _two_product(x[far], k[far] - 22)
+    x = x.copy()
+    x[far] = h1
+    h, g2 = _two_product(x, np.minimum(k, 22))
+    g1, g0 = np.zeros_like(g2), np.zeros_like(g2)
+    h3, l3 = _two_product(l1, 22)
+    q, g0_far = _two_sum(h3, g2[far])
+    q2, g0[far] = _two_sum(l3, g0_far)
+    g2[far], g1[far] = _two_sum(q2, q)
+    r = np.rint(g2)
+    d = g2 - r
+    lower = np.where(g1 != 0.0, g1, g0)
+    above = np.where(d != 0.5, d - 0.5, lower)
+    below = np.where(d != -0.5, d + 0.5, lower)
+    odd = (r.astype(np.int64) & 1).astype(bool)
+    up = (above > 0.0) | ((above == 0.0) & odd)
+    down = (below < 0.0) | ((below == 0.0) & odd)
+    return h.astype(np.int64) + r.astype(np.int64) + up - down
+
+
+def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, l) with h = fl(a 10^k) and h + l = a 10^k exactly (Dekker 1971)."""
+    h = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into two halves of at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,7 +429,7 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     history = np.array(_finite_floats(lines[2 + n], "trace history"))
     if pivots.shape != (s,) or history.shape != (s + 1,):
         raise ValueError("dump sections do not match header sizes")
-    if np.any((pivots < 0) | (pivots >= n)) or len(np.unique(pivots)) != s:
+    if np.any((pivots < 0) | (pivots >= n)) or not _distinct(pivots):
         raise ValueError(f"malformed pivots: expected {s} distinct indices in [0, {n})")
     if any(line.strip() for line in lines[3 + n:]):
         raise ValueError("unexpected data after the trace history")

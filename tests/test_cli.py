@@ -312,6 +312,15 @@ class TestErrorPaths:
 
 
 class TestModuleEntryPoint:
+    def test_cluster_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma, about half of a fresh interpreter's first cluster call
+        code = ("import sys, icfcluster.cli; icfcluster.cli.main(['cluster', 'synth:ring:16:0.05:0', "
+                "'--sigma', '16', '--subset-size', '4', '--clusters', '2']); "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_runs_as_python_module(self, tmp_path):
         out = tmp_path / "ring.libsvm"
         proc = subprocess.run(

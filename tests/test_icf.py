@@ -1,8 +1,11 @@
 """Tests for the incomplete Cholesky factorization core."""
 
 import copy
+import math
 import pickle
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -521,6 +524,76 @@ class TestDumpAndParse:
             "2.00000000000000000e+00 1.00000000000000003e-300 0.00000000000000000e+00\n")
         empty = IcfFactor(np.zeros((2, 0)), np.zeros(0, dtype=np.int64), np.ones(2), np.array([2.0]), 2)
         assert dump_factor(empty) == "ICF 2 0\n\n\n\n2.00000000000000000e+00\n"
+
+    def test_text_equals_percent_format_on_ties_and_next_to_powers_of_ten(self):
+        # v = m 2^-(p+1) with m odd makes v 10^p = m 5^p / 2 a decimal tie; m is
+        # drawn so that the tie falls on the 18th significant digit
+        rng = np.random.default_rng(23)
+        ties = []
+        for p in range(2, 27):
+            scale = Fraction(2) ** (p + 1)
+            low = math.ceil(Fraction(10) ** (17 - p) * scale)
+            high = min(math.ceil(Fraction(10) ** (18 - p) * scale), 2 ** 53)
+            odd = range(low | 1, high, 2)
+            picks = odd if len(odd) <= 100 else [odd[i] for i in rng.integers(len(odd), size=100)]
+            for m in picks:
+                v = math.ldexp(m, -(p + 1))
+                assert (Fraction(v) * 10 ** p).denominator == 2
+                assert int(("%.17e" % v).split("e")[1]) == 17 - p
+                ties.append(v)
+        assert len(ties) >= 2000
+        powers = [float(f"1e{k}") for k in range(-27, 18)]
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
+                 1e308, 2.0 ** 53, 1e-14, 1e17, 1e-27]
+        values = np.array(ties + powers + edges
+                          + [math.nextafter(v, 0.0) for v in powers + edges]
+                          + [math.nextafter(v, math.inf) for v in powers + edges])
+        values = np.concatenate([values, -values])
+        f = IcfFactor(values[:, None], [0], np.zeros(values.size), [1.0, 0.0], 0)
+        rows = dump_factor(f).splitlines()[2:-1]
+        assert rows == ["%.17e" % v for v in values.tolist()]
+        assert rows[values.tolist().index(1e-14)] == "9.99999999999999999e-15"
+
+    def test_text_equals_percent_format_across_block_edges(self):
+        rng = np.random.default_rng(29)
+        s = 3
+        n = 2 * (icf._DUMP_BLOCK // s) + 7
+        P = rng.normal(size=(n, s)) * 10.0 ** rng.uniform(-40.0, 30.0, (n, s))
+        P[rng.random((n, s)) < 0.1] = 0.0
+        history = np.array([2.0, 1.5e-30, 1e20, 0.0])
+        f = IcfFactor(P, [5, 0, 9], np.zeros(n), history, 0)
+        lines = [" ".join("%.17e" % v for v in row) for row in [*P.tolist(), history.tolist()]]
+        assert dump_factor(f) == f"ICF {n} 3\n5 0 9\n" + "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dump_refuses_a_non_finite_value_in_P(self, bad):
+        P = np.ones((4, 2))
+        P[1, 1] = P[3, 0] = bad
+        f = IcfFactor(P, [0, 1], np.zeros(4), [2.0, 1.0, 0.0], 0)
+        with pytest.raises(ValueError, match="cannot dump: row 1 of P holds a non-finite value"):
+            dump_factor(f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dump_refuses_a_non_finite_trace_history(self, bad):
+        f = IcfFactor(np.ones((3, 1)), [0], np.zeros(3), [2.0, bad], 0)
+        with pytest.raises(ValueError, match="cannot dump: the trace history holds a non-finite value"):
+            dump_factor(f)
+
+    def test_dump_holds_the_text_twice_and_little_more(self):
+        # the blocks and their join hold the text twice; formatting one block
+        # of values needs about a megabyte more, not space in proportion to P
+        rng = np.random.default_rng(31)
+        n, s = 20_000, 50
+        P = rng.normal(size=(n, s)) * 10.0 ** rng.uniform(-8.0, 0.0, (n, s))
+        f = IcfFactor(P, np.arange(s), np.zeros(n), np.linspace(1.0, 0.0, s + 1), 0)
+        tracemalloc.start()
+        try:
+            text = dump_factor(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 24_000_000
+        assert peak < 2 * len(text) + 4_000_000
 
     def test_parse_rejects_a_short_row(self):
         ds = rand_dataset(2, 6, 2)

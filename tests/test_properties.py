@@ -1,12 +1,17 @@
 """Property tests for the k-means++ seeding, the Lloyd loop, the dense
-LIBSVM fast path and the incomplete Cholesky factor on drawn inputs.
+LIBSVM fast path, the incomplete Cholesky factor and its text dump on drawn
+inputs.
 
 Cluster inputs are drawn with duplicated rows, offsets far from the origin
 and scales from 1e-8 to 1e8; LIBSVM blocks are dense with near-miss tokens
-mixed in; factor inputs span several panel blocks and reach rank exhaustion.  The runs are derandomized and keep no example database, so every
-run checks the same examples.
+mixed in; factor inputs span several panel blocks and reach rank exhaustion;
+dumped values are any finite float64, from raw bit patterns and from every
+decimal magnitude.  The runs are derandomized and keep no example database,
+so every run checks the same examples.
 """
 
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -15,7 +20,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from icfcluster import Dataset, KernelSpec, data, icf_factorize, kmeans_pp_init, lloyd  # noqa: E402
+from icfcluster import (Dataset, IcfFactor, KernelSpec, data, dump_factor, icf_factorize,  # noqa: E402
+                        kmeans_pp_init, lloyd, parse_factor_dump)
 
 # hypothesis's pytest plugin imports a module that warns of a deprecation
 # while it reports a failing example; under filterwarnings = error that
@@ -224,3 +230,39 @@ def test_a_smaller_rank_is_a_prefix_of_a_larger_one(case):
     assert small.trace_history.tobytes() == large.trace_history[:q + 1].tobytes()
     if q == large.s:
         assert small.residual_diag.tobytes() == large.residual_diag.tobytes()
+
+
+# any finite float64: a raw bit pattern; +-m 10^u with m in [1, 10) and u
+# from below the subnormals to above the largest double; or, where the
+# writer computes the decimal exponent (1e-27 to 1e17), 10^u or a neighbour
+finite_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.builds(lambda sign, m, u: float(f"{sign}{m!r}e{u}"), st.sampled_from("+-"),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-330, 309)),
+    st.builds(lambda u, toward: math.nextafter(float(f"1e{u}"), float(f"1e{u}") * toward),
+              st.integers(-28, 17), st.sampled_from([0.0, 1.0, math.inf])),
+).filter(math.isfinite)
+
+
+@st.composite
+def dumpable_factors(draw):
+    """An IcfFactor of 1-12 rows and 0-6 columns holding drawn finite values."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(0, min(n, 6)))
+    P = np.array(draw(st.lists(finite_floats, min_size=n * s, max_size=n * s))).reshape(n, s)
+    history = draw(st.lists(finite_floats, min_size=s + 1, max_size=s + 1))
+    pivots = draw(st.permutations(range(n)))[:s]
+    return IcfFactor(P, pivots, np.zeros(n), history, n * (s + 1))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(dumpable_factors())
+def test_the_dump_writes_each_value_as_percent_format_and_reads_back_bit_for_bit(factor):
+    text = dump_factor(factor)
+    rows = [*factor.P.tolist(), factor.trace_history.tolist()]
+    assert text == "".join([f"ICF {factor.n} {factor.s}\n", " ".join(map(str, factor.pivots.tolist())) + "\n",
+                            *(" ".join("%.17e" % v for v in row) + "\n" for row in rows)])
+    pivots, P, history = parse_factor_dump(text)
+    assert pivots.tobytes() == factor.pivots.tobytes()
+    assert P.shape == factor.P.shape and P.tobytes() == factor.P.tobytes()
+    assert history.tobytes() == factor.trace_history.tobytes()
