@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cluster import ClusterModel, _clamped_eigh, lloyd
-from .data import Dataset
+from .data import Dataset, _rng
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_columns, kernel_diag
 
 
@@ -91,9 +91,12 @@ def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: i
         raise ValueError("random Fourier features require the gaussian family")
     if num_features < 2 or num_features % 2 != 0:
         raise ValueError(f"num_features must be even and >= 2, got {num_features}")
-    rng = np.random.default_rng(seed)
-    freqs = rng.normal(0.0, np.sqrt(2.0 * spec.sigma), size=(dataset.d, num_features // 2))
-    proj = dataset.points @ freqs
+    rng = _rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = rng.normal(0.0, np.sqrt(2.0 * spec.sigma), size=(dataset.d, num_features // 2))
+        proj = dataset.points @ freqs
+    if not np.isfinite(proj).all():
+        raise ValueError(f"random Fourier features overflow: sigma={spec.sigma} is too large for these points")
     Z = np.sqrt(2.0 / num_features) * np.hstack([np.cos(proj), np.sin(proj)])
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     return Z
@@ -123,7 +126,7 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
     """
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
-    B = np.sort(np.random.default_rng(seed).choice(dataset.n, size=subset_size, replace=False))
+    B = np.sort(_rng(seed).choice(dataset.n, size=subset_size, replace=False))
     K_MB = kernel_columns(spec, dataset, B)
     w, U = _clamped_eigh(K_MB[B], "sampled kernel block")
     W = U / np.sqrt(w)

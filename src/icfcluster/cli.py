@@ -175,16 +175,22 @@ def _load_dataset(args):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file beside it; an error names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-icfcluster-{os.urandom(8).hex()}")
-    f = open(tmp, "x", encoding="utf-8")  # a new file, which gets the umask's mode
     try:
-        with f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        f = open(tmp, "x", encoding="utf-8")  # a new file, which gets the umask's mode
+        try:
+            with f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _read_only, _ValueType
+from .data import Dataset, _read_only, _rng, _ValueType
 from .icf import icf_factorize
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
@@ -84,7 +84,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int, *, prepared: tuple | N
     """
     points, mean, spread, near = _prepared(points, k) if prepared is None else prepared
     n = points.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     chosen = [int(rng.integers(n))]
     d2 = np.full(n, np.inf)
     for _ in range(1, k):

@@ -96,9 +96,16 @@ class Dataset(_ValueType):
 
     @cached_property
     def _centered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only points minus their mean, feature-major (d x n), and their squared norms."""
-        XT = np.ascontiguousarray((self.points - self.points.mean(axis=0)).T)
-        sq = np.einsum("ji,ji->i", XT, XT)
+        """Read-only points minus their mean, feature-major (d x n), and their squared norms.
+
+        A Gaussian Gram entry sums terms of at most 4 max(sq) in size; points
+        for which that overflows, or whose mean does, raise ValueError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            XT = np.ascontiguousarray((self.points - self.points.mean(axis=0)).T)
+            sq = np.einsum("ji,ji->i", XT, XT)
+            if not np.isfinite(4.0 * sq.max(initial=0.0)):
+                raise ValueError("points spread too far: their squared distances overflow")
         return _read_only(XT, np.float64, copy=False), _read_only(sq, np.float64, copy=False)
 
 
@@ -203,6 +210,14 @@ def to_libsvm(dataset: Dataset) -> str:
                    for label, row in zip(dataset.labels.tolist(), dataset.points))
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """np.random.default_rng(seed), for every seed that reaches numpy: one
+    below 0 raises ValueError naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Dataset:
     """Generate one of the 2-d two-cluster testbeds: ring, parabolic, zigzag.
 
@@ -216,7 +231,7 @@ def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Datas
         raise ValueError("per_cluster must be >= 1")
     if not 0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if kind == "ring":
         # a small circle enclosed by a concentric ring.  The inner cluster is
         # compact while the outer one surrounds it, so no straight line and no

@@ -261,10 +261,13 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     (_build_rows), once.  Only finished numbers are kept between cells, so an
     embedding lives only inside its build.
     """
-    for name, rows in (("num_seeds", range(config.num_seeds)), ("algorithms", config.algorithms),
-                       ("subset_sizes", config.subset_sizes)):
+    # the seeds are range(num_seeds), which never repeats; a set of them
+    # would hold every seed of a huge count at once
+    if config.num_seeds < 1:
+        raise ValueError(f"num_seeds must give one or more rows, each once, got {config.num_seeds!r}")
+    for name, rows in (("algorithms", config.algorithms), ("subset_sizes", config.subset_sizes)):
         if not rows or len(set(rows)) < len(rows):
-            raise ValueError(f"{name} must give one or more rows, each once, got {getattr(config, name)!r}")
+            raise ValueError(f"{name} must give one or more rows, each once, got {rows!r}")
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

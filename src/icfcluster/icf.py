@@ -352,12 +352,12 @@ def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     the sign of d - c, or where d = c that of g1, or where g1 = 0 of g0.
     """
     far = np.flatnonzero(k > 22)
-    h1, l1 = _two_product(x[far], k[far] - 22)
+    h1, l1 = _two_product(x[far], k[far] - 22, _POW10_PARTS)
     x = x.copy()
     x[far] = h1
-    h, g2 = _two_product(x, np.minimum(k, 22))
+    h, g2 = _two_product(x, np.minimum(k, 22), _POW10_PARTS)
     g1, g0 = np.zeros_like(g2), np.zeros_like(g2)
-    h3, l3 = _two_product(l1, 22)
+    h3, l3 = _two_product(l1, 22, _POW10_PARTS)
     q, g0_far = _two_sum(h3, g2[far])
     q2, g0[far] = _two_sum(l3, g0_far)
     g2[far], g1[far] = _two_sum(q2, q)
@@ -372,11 +372,13 @@ def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return h.astype(np.int64) + r.astype(np.int64) + up - down
 
 
-def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, l) with h = fl(a 10^k) and h + l = a 10^k exactly (Dekker 1971)."""
-    h = a * _POW10[k]
+def _two_product(a: np.ndarray, k: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(h, l) with h = fl(a b) and h + l = a b exactly (Dekker 1971), for b =
+    table[0][k], split in advance into table[1][k] + table[2][k]."""
+    b, b_hi, b_lo = table
+    h = a * b[k]
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    b_hi, b_lo = b_hi[k], b_lo[k]
     return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
@@ -394,7 +396,31 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bb)) + (b - bb)
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_PARTS = (_POW10, *_split(_POW10))
+
+
+def _inverse_powers() -> tuple:
+    """10^-k for k = 0..44 as hi + lo to about 2^-106, with hi split as _split does.
+
+    Python divides integers correctly rounded, so lo is 10^-k - hi rounded
+    once; hi = p / q exactly, as float.as_integer_ratio gives it.
+    """
+    hi = 10.0 ** -np.arange(45)
+    lo = np.array([(q - p * 10 ** k) / (q * 10 ** k)
+                   for k, (p, q) in enumerate(map(float.as_integer_ratio, hi.tolist()))])
+    return (hi, *_split(hi)), lo
+
+
+_INV10_PARTS, _INV10_LO = _inverse_powers()
+
+# with its sign taken out, a value as dump_factor writes it in [1e-27, 1e17)
+# is a record of 24 bytes: a digit, ".", 17 digits, "e", the exponent's sign,
+# two digits and the separator.  A byte passes where it lies in [_LOW, _LOW +
+# _SPAN] for its column; the exponent's sign and the separator are checked
+# apart.  The significand is the first 19 bytes less _LOW times _WEIGHTS.
+_LOW = np.frombuffer(b"0.00000000000000000e+00\n", np.uint8)
+_SPAN = np.frombuffer(b"\t\0" + b"\t" * 17 + b"\0\xff\t\t\xff", np.uint8)
+_WEIGHTS = np.array([10 ** 17, 0, *(10 ** np.arange(16, -1, -1))], np.int64)
 
 
 def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,7 +451,7 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pivots = np.array([int(t) for t in lines[1].split()], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pivots: {exc}") from None
-    P = _read_rows(lines[2:2 + n], s)
+    P = _read_P(lines[2:2 + n], s)
     history = np.array(_finite_floats(lines[2 + n], "trace history"))
     if pivots.shape != (s,) or history.shape != (s + 1,):
         raise ValueError("dump sections do not match header sizes")
@@ -436,8 +462,102 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pivots, P, history
 
 
-def _read_rows(rows: list[str], s: int) -> np.ndarray:
-    """The rows of P, read by one np.loadtxt call when it can.
+# the rows of P are read in blocks of about this many values: the exact
+# reader's temporaries, about 200 bytes a value, then stay below what
+# np.loadtxt's take over a whole P
+_READ_BLOCK = 2 ** 12
+
+
+def _read_P(rows: list[str], s: int) -> np.ndarray:
+    """The rows of P, read a block of about _READ_BLOCK values (whole rows) at a time.
+
+    A block exactly as dump_factor writes it is read by _exact_rows; any
+    other goes to _read_rows, which names the first bad row of P.  Blocks
+    are taken in order, so a bad row is named as a single _read_rows call
+    over every row would name it.
+    """
+    P = np.empty((len(rows), s))
+    step = max(1, _READ_BLOCK // max(s, 1))
+    for first in range(0, len(rows), step):
+        block = rows[first:first + step]
+        exact = _exact_rows(block, s) if s else None
+        P[first:first + len(block)] = _read_rows(block, s, first) if exact is None else exact
+    return P
+
+
+def _exact_rows(rows: list[str], s: int) -> np.ndarray | None:
+    """The rows as numbers, if each value is written as dump_factor writes a
+    zero or a value in [1e-27, 1e17) and one space ends it or "\n" its row;
+    else None.
+
+    x = M 10^(E - 17) is formed from the record's 18-digit significand M and
+    exponent E in double-double arithmetic, and the rows are kept only if
+    _significands(x, 17 - E) = M for every nonzero M, which is at least
+    10^17.  Then the token lies within 5e-18 x of x, and the nearest other
+    double is more than 2^-54 x = 5.55e-17 x away, on either side, power of
+    two or not; so x is the token correctly rounded, as np.loadtxt and
+    float() read it.
+    """
+    records = _records(rows, s)
+    if records is None:
+        return None
+    m, k, negative = records
+    nonzero = np.flatnonzero(m)
+    k[m == 0] = 1
+    x = _quotients(m, k)
+    if not np.array_equal(_significands(x[nonzero], k[nonzero]), m[nonzero]):
+        return None
+    x[negative] *= -1.0
+    return x.reshape(len(rows), s)
+
+
+def _quotients(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """M 10^-k for M < 10^18, rounded once from the double-double
+    mh hi + (mh lo + ml hi), where M = mh + ml exactly and 10^-k ~ hi + lo."""
+    mh = m.astype(np.float64)
+    ml = (m - mh.astype(np.int64)).astype(np.float64)
+    x, err = _two_product(mh, k, _INV10_PARTS)
+    err += mh * _INV10_LO[k]
+    err += ml * _INV10_PARTS[0][k]
+    return x + err
+
+
+def _records(rows: list[str], s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(M, k = 17 - E, the indices of the negative values) from the rows'
+    24-byte records [-]d.ddddddddddddddddde[+-]dd, each followed by one space
+    or, last in its row, "\n"; None for any other text, and for a nonzero M
+    below 10^17 or with E outside [-27, 16].
+    """
+    # an ASCII str encodes by a copy; anything else shows as "?", which no
+    # record holds
+    buf = np.frombuffer("\n".join([*rows, ""]).encode("ascii", "replace"), np.uint8)
+    # a "-" not after "e" is a value's sign: taken out, each must have stood
+    # in front of a record, one to a record at most
+    sign = buf == 45
+    sign[1:] &= buf[:-1] != 101
+    at = np.flatnonzero(sign)
+    at -= np.arange(at.size)
+    count = len(rows) * s
+    if buf.size - at.size != 24 * count or np.any(at % 24) or np.any(at[1:] == at[:-1]):
+        return None
+    rec = buf[~sign].reshape(count, 24)
+    digits = rec - _LOW
+    ends = np.full(count, 32, np.uint8)
+    ends[s - 1::s] = 10
+    if not (np.all(digits <= _SPAN) and np.array_equal(rec[:, 23], ends)
+            and np.all((rec[:, 20] == 43) | (rec[:, 20] == 45))):
+        return None
+    # einsum converts the bytes a buffer at a time, not as a whole copy
+    m = np.einsum("ij,j->i", digits[:, :19], _WEIGHTS, dtype=np.int64, casting="unsafe")
+    e = 10 * digits[:, 21].astype(np.int64) + digits[:, 22]
+    k = 17 + np.where(rec[:, 20] == 45, e, -e)
+    if np.any((m != 0) & ((m < 10 ** 17) | (k < 1) | (k > 44))):
+        return None
+    return m, k, at // 24
+
+
+def _read_rows(rows: list[str], s: int, first: int = 0) -> np.ndarray:
+    """The rows of P from first on, read by one np.loadtxt call when it can.
 
     loadtxt reads a subset of float()'s syntax.  When it fails, or gives
     anything but a finite len(rows) x s array, the rows are read one at a
@@ -454,11 +574,11 @@ def _read_rows(rows: list[str], s: int) -> np.ndarray:
             if P.shape == (len(rows), s) and np.all(np.isfinite(P)):
                 return P
     P = np.empty((len(rows), s))
-    for i, line in enumerate(rows):
+    for i, line in enumerate(rows, first):
         row = _finite_floats(line, f"row {i} of P")
         if len(row) != s:
             raise ValueError(f"row {i} of P has {len(row)} values, expected {s}")
-        P[i] = row
+        P[i - first] = row
     return P
 
 

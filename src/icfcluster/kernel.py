@@ -83,7 +83,8 @@ def kernel_columns(spec: KernelSpec, dataset: Dataset, cols: Sequence[int] | np.
     d2 += np.einsum("ji,jb->ib", XT, -2.0 * XT[:, cols])
     np.maximum(d2, 0.0, out=d2)
     d2[cols, np.arange(cols.size)] = 0.0
-    d2 *= -spec.sigma
+    with np.errstate(over="ignore"):  # -inf is the limit, and exp gives 0
+        d2 *= -spec.sigma
     return np.exp(d2, out=d2)
 
 

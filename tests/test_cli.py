@@ -303,6 +303,51 @@ class TestErrorPaths:
         assert (code, stdout) == (1, "")
         assert stderr == "error: points must have at least one column, got 6 x 0 (a rank-0 factor has none)\n"
 
+    @pytest.mark.parametrize("target, errno, message", [("missing/x.out", 2, "No such file or directory"),
+                                                        ("a-dir", 21, "Is a directory")],
+                             ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [["synth", "ring", "3", "0.1", "0", "{out}"],
+                                      ["factorize", "synth:ring:3:0.1:0", "--sigma", "1", "--subset-size", "2",
+                                       "--out", "{out}"],
+                                      ["cluster", "synth:ring:3:0.1:0", "--sigma", "1", "--subset-size", "2",
+                                       "--out", "{out}"],
+                                      ["bench", "synth:ring:3:0.1:0", "--sigma", "1", "--subset-size", "2",
+                                       "--seeds", "1", "--out", "{out}"]],
+                             ids=["synth", "factorize", "cluster", "bench"])
+    def test_an_unwritable_out_is_named_and_leaves_no_temp_file(self, tmp_path, capsys, argv, target, errno,
+                                                                 message):
+        (tmp_path / "a-dir").mkdir()
+        out = str(tmp_path / target)
+        code, stdout, stderr = run_cli(capsys, *(a.format(out=out) for a in argv))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: [Errno {errno}] {message}: {out!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["a-dir"] and os.listdir(tmp_path / "a-dir") == []
+
+    @pytest.mark.parametrize("argv", [["cluster", "synth:ring:3:0.1:0", "--sigma", "1", "--subset-size", "2",
+                                       "--seed", "-1"],
+                                      ["synth", "ring", "3", "0.1", "-1", "{out}"],
+                                      ["factorize", "synth:ring:3:0.1:-1", "--sigma", "1", "--subset-size", "2"]],
+                             ids=["cluster", "synth", "spec"])
+    def test_a_negative_seed_is_refused_by_name(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.libsvm"
+        code, stdout, stderr = run_cli(capsys, *(a.format(out=out) for a in argv))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert stderr.endswith("seed must be a non-negative integer, got -1\n")
+        assert not out.exists()
+
+    def test_points_whose_squared_distances_overflow_are_refused(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "factorize", "synth:ring:3:1e200:0", "--sigma", "1",
+                                       "--subset-size", "2")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: points spread too far: their squared distances overflow\n"
+
+    def test_a_sigma_too_large_for_random_features_is_refused(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "bench", "synth:ring:3:0.1:0", "--sigma", "1e308",
+                                       "--subset-size", "2", "--seeds", "1", "--algorithms", "icf,rff")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: random Fourier features overflow: sigma=1e+308 is too large for these points\n"
+
     def test_subset_size_beyond_n(self, capsys):
         code, _, stderr = run_cli(
             capsys, "factorize", "synth:ring:5:0.0:0", "--sigma", "1",

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -594,6 +595,52 @@ class TestDumpAndParse:
             tracemalloc.stop()
         assert len(text) > 24_000_000
         assert peak < 2 * len(text) + 4_000_000
+
+    def test_parse_holds_the_lines_P_and_little_more(self):
+        # the text is split into lines once; each block of rows is encoded
+        # and decoded alone, so the exact reader needs no copy of the P section
+        rng = np.random.default_rng(37)
+        n, s = 20_000, 50
+        P = rng.normal(size=(n, s)) * 10.0 ** rng.uniform(-8.0, 0.0, (n, s))
+        f = IcfFactor(P, np.arange(s), np.zeros(n), np.linspace(1.0, 0.0, s + 1), 0)
+        text = dump_factor(f)
+        lines = text.splitlines()
+        held = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines)) + P.nbytes
+        del lines
+        tracemalloc.start()
+        try:
+            _, back, _ = parse_factor_dump(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == P.tobytes()
+        assert peak < held + 2_000_000
+
+    def test_exact_rows_take_the_writers_blocks_and_nothing_else(self):
+        rng = np.random.default_rng(41)
+        P = rng.choice([-1.0, 1.0], (40, 3)) * rng.uniform(1.0, 10.0, (40, 3)) * 10.0 ** rng.integers(-27, 17, (40, 3))
+        P[rng.random((40, 3)) < 0.2] = 0.0
+        P[0, 0], P[1, 1] = -0.0, 1e-27
+        rows = dump_factor(IcfFactor(P, [0, 1, 2], np.zeros(40), [1.0, 0.5, 0.2, 0.0], 0)).splitlines()[2:42]
+        exact = icf._exact_rows(rows, 3)
+        assert exact is not None and exact.tobytes() == P.tobytes()
+        first = rows[0].split(" ")
+        for bad in ("--" + first[1], "+" + first[1], first[1].replace("e", "E"), first[1][:-3] + "+5",
+                    "0." + first[1][:1] + first[1][2:-5] + "e+01", first[1][:-5] + "0" + first[1][-4:],
+                    "1.00000000000000000e+17", "9.99999999999999999e-28"):
+            assert icf._exact_rows([" ".join([first[0], bad, first[2]])], 3) is None, bad
+        for sep in ("\t", "  "):
+            assert icf._exact_rows([sep.join(first)], 3) is None
+        assert icf._exact_rows([rows[0] + " "], 3) is None
+        assert icf._exact_rows([rows[0], rows[1] + " " + first[0]], 3) is None
+        assert icf._exact_rows([" ".join(first[:2])], 3) is None
+
+    def test_exact_rows_decline_a_token_a_product_rounds_twice(self):
+        # within 1e-34 of its size of the point halfway between two doubles:
+        # the double-double product of M and 10^-25 rounds it to the odd one
+        token = "2.00242969969417196e-08"
+        assert icf._exact_rows([token], 1) is None
+        assert parse_factor_dump(f"ICF 1 1\n0\n{token}\n1.0 0.5\n")[1][0, 0] == float(token)
 
     def test_parse_rejects_a_short_row(self):
         ds = rand_dataset(2, 6, 2)

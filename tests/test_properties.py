@@ -13,6 +13,7 @@ so every run checks the same examples.
 import math
 import struct
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from icfcluster import (Dataset, IcfFactor, KernelSpec, data, dump_factor, icf_factorize,  # noqa: E402
+from icfcluster import (Dataset, IcfFactor, KernelSpec, data, dump_factor, icf, icf_factorize,  # noqa: E402
                         kmeans_pp_init, lloyd, parse_factor_dump)
 
 # hypothesis's pytest plugin imports a module that warns of a deprecation
@@ -266,3 +267,149 @@ def test_the_dump_writes_each_value_as_percent_format_and_reads_back_bit_for_bit
     assert pivots.tobytes() == factor.pivots.tobytes()
     assert P.shape == factor.P.shape and P.tobytes() == factor.P.tobytes()
     assert history.tobytes() == factor.trace_history.tobytes()
+
+
+# a token exactly halfway between a double and the next one up: from 2^51 to
+# 1e17 the halfway point has at most 18 significant digits, so "%.17e" of it
+# is exact, and a reader must round it to the even neighbour
+@st.composite
+def ties(draw):
+    v = struct.unpack("<d", struct.pack("<Q", draw(st.integers(
+        struct.unpack("<Q", struct.pack("<d", 2.0 ** 51))[0],
+        struct.unpack("<Q", struct.pack("<d", math.nextafter(1e17, 0.0)))[0] - 1))))[0]
+    half = Decimal(v) + Decimal(math.ulp(v)) / 2
+    token = f"{half:.17e}"
+    assert Decimal(token) == half
+    return draw(st.sampled_from(["", "-"])) + token
+
+
+# 18-digit tokens M 10^-25 within about 1e-33 of their size of a point
+# halfway between two doubles h 2^(q-1), h odd: M 2^(1-q) - h 10^25 = j 2^25
+# for a small j.  A product rounded twice reads them otherwise than float()
+# does, and only an exact check of the result catches it.
+def near_midpoints(k=25, js=range(-20, 21)):
+    tokens = []
+    for q in range(-80, -76):
+        a, b = 2 ** (1 - q), 10 ** k
+        g = math.gcd(a, b)
+        inverse = pow(a // g, -1, b // g)
+        for j in js:
+            m0 = j * inverse % (b // g)
+            for m in range(m0, 10 ** 18, b // g):
+                h, rest = divmod(m * a - j * g, b)
+                if j and m >= 10 ** 17 and not rest and h % 2 and 2 ** 53 <= h < 2 ** 54:
+                    tokens.append(f"{str(m)[0]}.{str(m)[1:]}e{17 - k:+03d}")
+    return tokens
+
+
+NEAR_MIDPOINTS = near_midpoints()
+
+# what a dump may hold: values the writer takes exactly, zero or 1e-27 to
+# 1e17 in magnitude, where most of a factor's lie; and raw bit patterns, 10^k
+# and its neighbours, and values below 1e-27 and from 1e17 up
+exact_values = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, m, u: float(f"{sign}{m!r}e{u}"), st.sampled_from("+-"),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-27, 16)),
+)
+dump_values = st.one_of(
+    exact_values,
+    finite_floats,
+    st.builds(lambda sign, m, u: float(f"{sign}{m!r}e{u}"), st.sampled_from("+-"),
+              st.floats(1.0, 10.0, exclude_max=True), st.one_of(st.integers(-330, -28), st.integers(17, 308))),
+).filter(math.isfinite)
+
+# faults on one value of P: a sign, a letter, an exponent or a significand
+# that the writer would not write, a separator other than one space, a row
+# one value short or long, or a value halfway between two doubles or within
+# about 1e-33 of its size of such a point
+DUMP_FAULTS = ("+", "++", "--", "+-", "-+", "E", "exp1", "exp3", "0.", "digits16", "digits18",
+               "\t", "  ", "trail", "\r", "\x0c", "\x85", "short", "long", "tie", "near tie")
+
+
+@st.composite
+def faulty_dumps(draw):
+    """(text, block): a dump of an n x s factor, written and to be read in
+    blocks of about block values, with up to two faults in the rows of P."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(0, min(n, 6)))
+    block = draw(st.integers(1, 24))
+    # most dumps hold only values the writer takes exactly, so that a fault
+    # often falls in a block the exact reader would otherwise take
+    values = draw(st.sampled_from([exact_values, exact_values, dump_values]))
+    P = np.array(draw(st.lists(values, min_size=n * s, max_size=n * s))).reshape(n, s)
+    factor = IcfFactor(P, draw(st.permutations(range(n)))[:s], np.zeros(n),
+                       draw(st.lists(dump_values, min_size=s + 1, max_size=s + 1)), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(icf, "_DUMP_BLOCK", block)
+        lines = dump_factor(factor).split("\n")
+    rows = [line.split(" ") if s else [] for line in lines[2:2 + n]]
+    # seps[i][j] stands between values j and j + 1 of row i, ends[i] after the last
+    seps, ends = [[" "] * (s - 1) for _ in rows], [""] * n
+    for fault in draw(st.lists(st.sampled_from(DUMP_FAULTS), max_size=2 if s else 0)):
+        i = draw(st.integers(0, n - 1))
+        row = rows[i]
+        if not row:
+            continue
+        j = draw(st.integers(0, len(row) - 1))
+        mantissa, exponent = row[j].split("e")
+        if fault in ("+", "++", "--", "+-", "-+"):
+            row[j] = fault + row[j].lstrip("-")
+        elif fault == "E":
+            row[j] = row[j].replace("e", "E")
+        elif fault in ("exp1", "exp3"):
+            digits = exponent[-1] if fault == "exp1" else "0" + exponent[1:]
+            row[j] = f"{mantissa}e{exponent[0]}{digits}"
+        elif fault == "0.":
+            digits = mantissa.lstrip("-").replace(".", "")
+            row[j] = f"{mantissa[:-19]}0.{digits[:-1]}e{int(exponent) + 1:+03d}"
+        elif fault == "digits16":
+            row[j] = f"{mantissa[:-1]}e{exponent}"
+        elif fault == "digits18":
+            row[j] = f"{mantissa}{draw(st.integers(0, 9))}e{exponent}"
+        elif fault == "trail":
+            ends[i] += " "
+        elif fault in ("\t", "  ", "\r", "\x0c", "\x85"):
+            if j < len(seps[i]):
+                seps[i][j] = fault
+            else:
+                ends[i] += fault
+        elif fault == "short":
+            del row[j]
+            if seps[i]:
+                del seps[i][min(j, len(seps[i]) - 1)]
+        elif fault == "long":
+            row.insert(j, row[j])
+            seps[i].insert(j, " ")
+        elif fault == "tie":
+            row[j] = draw(ties())
+        else:
+            row[j] = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(NEAR_MIDPOINTS))
+    lines[2:2 + n] = ["".join(a + b for a, b in zip(row, [*sep, end])) for row, sep, end in zip(rows, seps, ends)]
+    return "\n".join(lines), block
+
+
+def parent_reader(text):
+    """parse_factor_dump with every row of P read by one _read_rows call, as
+    the reader read them before it took dump_factor's blocks exactly."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(icf, "_read_P", icf._read_rows)
+        return parse_factor_dump(text)
+
+
+def read_outcome(reader, text):
+    try:
+        pivots, P, history = reader(text)
+    except ValueError as exc:
+        return str(exc)
+    return pivots.tobytes(), P.shape, P.tobytes(), history.tobytes()
+
+
+@settings(SETTINGS, max_examples=400)
+@given(faulty_dumps())
+def test_the_reader_gives_the_bits_or_the_error_of_one_read_over_every_row(case):
+    text, block = case
+    expected = read_outcome(parent_reader, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(icf, "_READ_BLOCK", block)
+        assert read_outcome(parse_factor_dump, text) == expected
