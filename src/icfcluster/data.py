@@ -264,10 +264,14 @@ def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Datas
 def standardize(dataset: Dataset) -> Dataset:
     """Return a copy with each feature shifted to mean 0 and scaled to std 1.
 
-    Constant features are left centred but unscaled.
+    Constant features are left centred but unscaled.  A feature whose mean
+    or spread overflows raises ValueError.
     """
-    mean = dataset.points.mean(axis=0)
-    std = dataset.points.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.points.mean(axis=0)
+        std = dataset.points.std(axis=0)
+    if not np.isfinite(std).all():
+        raise ValueError("cannot standardize: a feature's mean or spread overflows")
     std[std == 0.0] = 1.0
     return Dataset((dataset.points - mean) / std, dataset.labels, name=dataset.name)
 

@@ -327,6 +327,14 @@ class TestRunBenchmark:
             run_benchmark(BenchmarkConfig(**fields))
         assert built == []
 
+    def test_a_huge_seed_count_is_checked_without_listing_the_seeds(self):
+        # a set of range(10**30) would fill memory before the repeated
+        # algorithm is named
+        cfg = BenchmarkConfig(dataset=small_labeled_dataset(), algorithms=["icf", "icf"], subset_sizes=[5],
+                              sigma=0.5, clusters=2, num_seeds=10 ** 30)
+        with pytest.raises(ValueError, match="algorithms must give one or more rows"):
+            run_benchmark(cfg)
+
 
 ALL_ALGORITHMS = ["icf", "kernel", "chol", "nystrom", "rff", "approx"]
 

@@ -1,17 +1,23 @@
 """Property tests for the k-means++ seeding, the Lloyd loop, the dense
-LIBSVM fast path, the incomplete Cholesky factor and its text dump on drawn
-inputs.
+LIBSVM fast path, the incomplete Cholesky factor, its text dump and the
+reader's exact path, and the command line, on drawn inputs.
 
 Cluster inputs are drawn with duplicated rows, offsets far from the origin
 and scales from 1e-8 to 1e8; LIBSVM blocks are dense with near-miss tokens
 mixed in; factor inputs span several panel blocks and reach rank exhaustion;
 dumped values are any finite float64, from raw bit patterns and from every
-decimal magnitude.  The runs are derandomized and keep no example database,
-so every run checks the same examples.
+decimal magnitude, and dumps to read carry near-miss records; command lines
+carry NaN, infinite, negative, zero and huge numbers.  The runs are
+derandomized and keep no example database, so every run checks the same
+examples.
 """
 
+import contextlib
+import io
 import math
+import os
 import struct
+import tempfile
 import warnings
 from decimal import Decimal
 
@@ -19,10 +25,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from icfcluster import (Dataset, IcfFactor, KernelSpec, data, dump_factor, icf, icf_factorize,  # noqa: E402
-                        kmeans_pp_init, lloyd, parse_factor_dump)
+from icfcluster import (ALGORITHMS, Dataset, IcfFactor, KernelSpec, data, dump_factor, icf,  # noqa: E402
+                        icf_factorize, kmeans_pp_init, lloyd, parse_factor_dump)
+from icfcluster.cli import main  # noqa: E402
 
 # hypothesis's pytest plugin imports a module that warns of a deprecation
 # while it reports a failing example; under filterwarnings = error that
@@ -405,7 +412,7 @@ def read_outcome(reader, text):
     return pivots.tobytes(), P.shape, P.tobytes(), history.tobytes()
 
 
-@settings(SETTINGS, max_examples=400)
+@settings(SETTINGS, max_examples=250)
 @given(faulty_dumps())
 def test_the_reader_gives_the_bits_or_the_error_of_one_read_over_every_row(case):
     text, block = case
@@ -413,3 +420,86 @@ def test_the_reader_gives_the_bits_or_the_error_of_one_read_over_every_row(case)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(icf, "_READ_BLOCK", block)
         assert read_outcome(parse_factor_dump, text) == expected
+
+
+# bad values for a float flag or field: NaN, +-inf, a negative, +-0, huge
+# ones and a subnormal; for an integer one: a negative, 0, and ones past
+# what numpy's sizes hold; for a --subset-size item, also an empty or
+# non-integer one
+BAD_FLOATS = ["nan", "inf", "-inf", "-1.5", "0", "-0", "1e200", "1e308", "1e-320"]
+BAD_INTEGERS = ["-1", "0", str(2 ** 63), str(10 ** 30)]
+BAD_SIZES = [*BAD_INTEGERS, "", "x", "1.5"]
+
+
+@st.composite
+def cli_runs(draw):
+    """argv for synth, factorize, cluster or bench on a tiny synthetic set,
+    with up to two of its numbers bad; "{out}" stands for an output file in
+    an empty directory.
+
+    Every float flag and synth field, and every integer flag but --seeds,
+    may be drawn bad; --seeds only negative or 0, since a huge count is a
+    long sweep, not an error.  Flags are given as --flag=value, so a value
+    starting with "-" is not taken for a flag; synth's fields come after "--".
+    """
+    command = draw(st.sampled_from(["synth", "factorize", "cluster", "bench"]))
+    good = {"per_cluster": "3", "noise": "0.1", "data_seed": "1", "sigma": "4", "epsilon": "1e-3",
+            "clusters": "2", "max-iter": "5", "seed": "1", "seeds": "2"}
+    bad = {"per_cluster": BAD_INTEGERS, "noise": BAD_FLOATS, "data_seed": BAD_INTEGERS, "sigma": BAD_FLOATS,
+           "epsilon": BAD_FLOATS, "clusters": BAD_INTEGERS, "max-iter": BAD_INTEGERS, "seed": BAD_INTEGERS,
+           "seeds": ["-1", "0"]}
+    field = dict(good)
+    for name in draw(st.lists(st.sampled_from(sorted(bad)), max_size=2, unique=True)):
+        field[name] = draw(st.sampled_from(bad[name]))
+    sizes = draw(st.lists(st.sampled_from(["1", "2", "3"]), min_size=1, max_size=3 if command == "bench" else 1,
+                          unique=True))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.sampled_from(BAD_SIZES))
+    spec = [draw(st.sampled_from(["ring", "parabolic", "zigzag"])), field["per_cluster"], field["noise"],
+            field["data_seed"]]
+    if command == "synth":
+        return ["synth", "--", *spec, "{out}"]
+    argv = [command, "synth:" + ":".join(spec), f"--sigma={field['sigma']}", f"--epsilon={field['epsilon']}",
+            "--subset-size=" + ",".join(sizes)]
+    if command != "factorize":
+        argv += [f"--clusters={field['clusters']}", f"--max-iter={field['max-iter']}"]
+    if command == "cluster":
+        argv.append(f"--seed={field['seed']}")
+    if command == "bench":
+        argv += [f"--seeds={field['seeds']}",
+                 "--algorithms=" + ",".join(draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3,
+                                                          unique=True)))]
+    if draw(st.booleans()):
+        argv.append("--standardize")
+    if draw(st.booleans()):
+        argv.append("--out={out}")
+    return argv
+
+
+@settings(SETTINGS, max_examples=200)
+@given(cli_runs())
+# faults this test found, each a warning or a NaN before it was mended:
+# squared distances past overflow, kept as is or scaled by --standardize, and
+# Gram columns and random features at the largest sigma
+@example(["factorize", "synth:ring:3:1e200:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=2"])
+@example(["cluster", "synth:ring:3:1e200:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=2", "--clusters=2",
+          "--max-iter=5", "--seed=1", "--standardize"])
+@example(["cluster", "synth:ring:3:0.1:1", "--sigma=1e308", "--epsilon=1e-3", "--subset-size=6", "--clusters=2",
+          "--max-iter=5", "--seed=1"])
+@example(["bench", "synth:ring:3:0.1:1", "--sigma=1e308", "--epsilon=1e-3", "--subset-size=2", "--clusters=2",
+          "--max-iter=5", "--seeds=2", "--algorithms=rff"])
+def test_every_command_exits_0_or_1_with_one_error_line_and_leaves_no_file_behind(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([a.replace("{out}", out) for a in argv])
+        left = os.listdir(tmp)
+    error = stderr.getvalue()
+    if code == 0:
+        assert error == ""
+        assert left == (["out"] if "{out}" in " ".join(argv) else [])
+    else:
+        assert code == 1
+        assert error.startswith("error: ") and error.count("\n") == 1 and error.endswith("\n")
+        assert left == []
