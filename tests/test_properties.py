@@ -356,9 +356,9 @@ def faulty_dumps(draw):
     for fault in draw(st.lists(st.sampled_from(DUMP_FAULTS), max_size=2 if s else 0)):
         i = draw(st.integers(0, n - 1))
         row = rows[i]
-        if not row:
+        j = draw(st.integers(0, max(len(row) - 1, 0)))
+        if not row or "e" not in row[j]:  # a row emptied, or an "e" made "E", by the first fault
             continue
-        j = draw(st.integers(0, len(row) - 1))
         mantissa, exponent = row[j].split("e")
         if fault in ("+", "++", "--", "+-", "-+"):
             row[j] = fault + row[j].lstrip("-")
