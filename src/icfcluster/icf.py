@@ -413,13 +413,14 @@ def _inverse_powers() -> tuple:
 
 _INV10_PARTS, _INV10_LO = _inverse_powers()
 
-# with its sign taken out, a value as dump_factor writes it in [1e-27, 1e17)
+# with its sign taken out, a value written as %.17e with a two-digit exponent
 # is a record of 24 bytes: a digit, ".", 17 digits, "e", the exponent's sign,
-# two digits and the separator.  A byte passes where it lies in [_LOW, _LOW +
-# _SPAN] for its column; the exponent's sign and the separator are checked
-# apart.  The significand is the first 19 bytes less _LOW times _WEIGHTS.
+# two digits and the separator.  Less _LOW, each byte lies in [0, _SPAN] for
+# its column: the exponent's sign is then 0 or 2 ("," lies between), and the
+# separator 22 (" ") or 0 ("\n").  The significand is the first 19 bytes less
+# _LOW times _WEIGHTS.
 _LOW = np.frombuffer(b"0.00000000000000000e+00\n", np.uint8)
-_SPAN = np.frombuffer(b"\t\0" + b"\t" * 17 + b"\0\xff\t\t\xff", np.uint8)
+_SPAN = np.frombuffer(b"\t\0" + b"\t" * 17 + b"\0\2\t\t\x16", np.uint8)
 _WEIGHTS = np.array([10 ** 17, 0, *(10 ** np.arange(16, -1, -1))], np.int64)
 
 
@@ -471,10 +472,10 @@ _READ_BLOCK = 2 ** 12
 def _read_P(rows: list[str], s: int) -> np.ndarray:
     """The rows of P, read a block of about _READ_BLOCK values (whole rows) at a time.
 
-    A block exactly as dump_factor writes it is read by _exact_rows; any
-    other goes to _read_rows, which names the first bad row of P.  Blocks
-    are taken in order, so a bad row is named as a single _read_rows call
-    over every row would name it.
+    A block of records as dump_factor writes them with two-digit exponents
+    is read by _exact_rows; any other goes to _read_rows, which names the
+    first bad row of P.  Blocks are taken in order, so a bad row is named as
+    a single _read_rows call over every row would name it.
     """
     P = np.empty((len(rows), s))
     step = max(1, _READ_BLOCK // max(s, 1))
@@ -486,27 +487,34 @@ def _read_P(rows: list[str], s: int) -> np.ndarray:
 
 
 def _exact_rows(rows: list[str], s: int) -> np.ndarray | None:
-    """The rows as numbers, if each value is written as dump_factor writes a
-    zero or a value in [1e-27, 1e17) and one space ends it or "\n" its row;
-    else None.
+    """The rows as numbers, if each value is a record as dump_factor writes
+    it with a two-digit exponent, followed by one space or, last in its row,
+    "\n"; else None.
 
-    x = M 10^(E - 17) is formed from the record's 18-digit significand M and
-    exponent E in double-double arithmetic, and the rows are kept only if
-    _significands(x, 17 - E) = M for every nonzero M, which is at least
-    10^17.  Then the token lies within 5e-18 x of x, and the nearest other
-    double is more than 2^-54 x = 5.55e-17 x away, on either side, power of
-    two or not; so x is the token correctly rounded, as np.loadtxt and
-    float() read it.
+    Where a record's 18-digit significand M is at least 10^17 and its
+    exponent E lies in [-27, 16], x = M 10^(E - 17) is formed in
+    double-double arithmetic and kept if _significands(x, 17 - E) = M.  Then
+    the token lies within 5e-18 x of x, and the nearest other double is more
+    than 2^-54 x = 5.55e-17 x away, on either side, power of two or not; so x
+    is the token correctly rounded, as np.loadtxt and float() read it.  Every
+    other nonzero record is read by float().
     """
     records = _records(rows, s)
     if records is None:
         return None
-    m, k, negative = records
-    nonzero = np.flatnonzero(m)
-    k[m == 0] = 1
+    digits, negative = records
+    # einsum converts the bytes a buffer at a time, not as a whole copy
+    m = np.einsum("ij,j->i", digits[:, :19], _WEIGHTS, dtype=np.int64, casting="unsafe")
+    e = 10 * digits[:, 21].astype(np.int64) + digits[:, 22]
+    k = 17 + np.where(digits[:, 20] == 2, e, -e)
+    slow = (m != 0) & ((m < 10 ** 17) | (k < 1) | (k > 44))
+    # clipped, k keeps M 10^-k 10^k below 10^18; what the records already
+    # slow get from the check does not matter
+    np.clip(k, 1, 44, out=k)
     x = _quotients(m, k)
-    if not np.array_equal(_significands(x[nonzero], k[nonzero]), m[nonzero]):
-        return None
+    slow |= _significands(x, k) != m
+    for i in np.flatnonzero(slow).tolist():
+        x[i] = float((digits[i, :23] + _LOW[:23]).tobytes())
     x[negative] *= -1.0
     return x.reshape(len(rows), s)
 
@@ -522,38 +530,29 @@ def _quotients(m: np.ndarray, k: np.ndarray) -> np.ndarray:
     return x + err
 
 
-def _records(rows: list[str], s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(M, k = 17 - E, the indices of the negative values) from the rows'
-    24-byte records [-]d.ddddddddddddddddde[+-]dd, each followed by one space
-    or, last in its row, "\n"; None for any other text, and for a nonzero M
-    below 10^17 or with E outside [-27, 16].
+def _records(rows: list[str], s: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(the rows' 24-byte records [-]d.ddddddddddddddddde[+-]dd and their
+    separators, signs taken out, less _LOW; the indices of the negative
+    values), or None if the rows are anything else.
     """
     # an ASCII str encodes by a copy; anything else shows as "?", which no
     # record holds
     buf = np.frombuffer("\n".join([*rows, ""]).encode("ascii", "replace"), np.uint8)
-    # a "-" not after "e" is a value's sign: taken out, each must have stood
-    # in front of a record, one to a record at most
-    sign = buf == 45
-    sign[1:] &= buf[:-1] != 101
-    at = np.flatnonzero(sign)
+    # a "-" not after "e" is a value's sign; at 0, buf[-1] is the last "\n"
+    at = np.flatnonzero(buf == 45)
+    at = at[buf[at - 1] != 101]
+    if buf.size - at.size != 24 * len(rows) * s:
+        return None
+    digits = np.delete(buf, at).reshape(-1, 24)
+    digits -= _LOW
+    # a sign must have stood in front of a record, one to a record at most
     at -= np.arange(at.size)
-    count = len(rows) * s
-    if buf.size - at.size != 24 * count or np.any(at % 24) or np.any(at[1:] == at[:-1]):
+    ends = np.full(len(digits), 22, np.uint8)
+    ends[s - 1::s] = 0
+    if (np.any(at % 24) or np.any(at[1:] == at[:-1]) or np.any(digits > _SPAN)
+            or np.any(digits[:, 20] == 1) or not np.array_equal(digits[:, 23], ends)):
         return None
-    rec = buf[~sign].reshape(count, 24)
-    digits = rec - _LOW
-    ends = np.full(count, 32, np.uint8)
-    ends[s - 1::s] = 10
-    if not (np.all(digits <= _SPAN) and np.array_equal(rec[:, 23], ends)
-            and np.all((rec[:, 20] == 43) | (rec[:, 20] == 45))):
-        return None
-    # einsum converts the bytes a buffer at a time, not as a whole copy
-    m = np.einsum("ij,j->i", digits[:, :19], _WEIGHTS, dtype=np.int64, casting="unsafe")
-    e = 10 * digits[:, 21].astype(np.int64) + digits[:, 22]
-    k = 17 + np.where(rec[:, 20] == 45, e, -e)
-    if np.any((m != 0) & ((m < 10 ** 17) | (k < 1) | (k > 44))):
-        return None
-    return m, k, at // 24
+    return digits, at // 24
 
 
 def _read_rows(rows: list[str], s: int, first: int = 0) -> np.ndarray:

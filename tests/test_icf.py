@@ -626,20 +626,30 @@ class TestDumpAndParse:
         assert exact is not None and exact.tobytes() == P.tobytes()
         first = rows[0].split(" ")
         for bad in ("--" + first[1], "+" + first[1], first[1].replace("e", "E"), first[1][:-3] + "+5",
-                    "0." + first[1][:1] + first[1][2:-5] + "e+01", first[1][:-5] + "0" + first[1][-4:],
-                    "1.00000000000000000e+17", "9.99999999999999999e-28"):
+                    first[1][:-3] + "+100", first[1][:19] + "0" + first[1][19:], first[1][:18] + first[1][19:]):
             assert icf._exact_rows([" ".join([first[0], bad, first[2]])], 3) is None, bad
         for sep in ("\t", "  "):
             assert icf._exact_rows([sep.join(first)], 3) is None
         assert icf._exact_rows([rows[0] + " "], 3) is None
         assert icf._exact_rows([rows[0], rows[1] + " " + first[0]], 3) is None
+        assert icf._exact_rows([rows[0] + " " + first[0], rows[1].split(" ", 1)[1]], 3) is None
+        assert icf._exact_rows([rows[0].replace("e-", "e,")], 3) is None
         assert icf._exact_rows([" ".join(first[:2])], 3) is None
 
-    def test_exact_rows_decline_a_token_a_product_rounds_twice(self):
+    def test_exact_rows_read_records_off_the_fast_range_by_float(self):
+        # a zero significand, one below 10^17 and exponents outside [-27, 16]
+        # keep the record layout; each such record is read alone
+        tokens = ["0.00000000000000000e+05", "-0.82747480090037356e+01", "1.00000000000000000e+17",
+                  "-9.99999999999999999e-28", "3.30000000000000001e-99", "1.79769313486231571e+99"]
+        got = icf._exact_rows([" ".join(tokens)], len(tokens))
+        assert got.tobytes() == np.array([list(map(float, tokens))]).tobytes()
+
+    def test_exact_rows_read_a_token_a_product_rounds_twice_by_float(self):
         # within 1e-34 of its size of the point halfway between two doubles:
         # the double-double product of M and 10^-25 rounds it to the odd one
         token = "2.00242969969417196e-08"
-        assert icf._exact_rows([token], 1) is None
+        assert icf._quotients(np.array([200242969969417196]), np.array([25]))[0] != float(token)
+        assert icf._exact_rows([token], 1)[0, 0] == float(token)
         assert parse_factor_dump(f"ICF 1 1\n0\n{token}\n1.0 0.5\n")[1][0, 0] == float(token)
 
     def test_parse_rejects_a_short_row(self):
