@@ -21,27 +21,27 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cluster import ClusterModel, _clamped_eigh, lloyd
+from .cluster import MAX_ITER, ClusterModel, _clamped_eigh, lloyd
 from .data import Dataset, _rng
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_columns, kernel_diag
 
 
 def kernel_chol_kmeans(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
-                       max_iter: int = 1000, guard: int = DEFAULT_GUARD) -> ClusterModel:
+                       max_iter: int = MAX_ITER, guard: int = DEFAULT_GUARD) -> ClusterModel:
     """Exact kernel k-means through a dense Cholesky factor of K."""
     L = chol_embedding(dataset, spec, guard=guard)
     return lloyd(L, k, seed, max_iter=max_iter)
 
 
 def nystrom_kmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                   max_iter: int = 1000) -> ClusterModel:
+                   max_iter: int = MAX_ITER) -> ClusterModel:
     """Kernel k-means on the Nystrom embedding from a uniform sample."""
     embed = nystrom_embedding(dataset, spec, subset_size, seed)
     return lloyd(embed, k, seed, max_iter=max_iter)
 
 
 def rff_kmeans(dataset: Dataset, spec: KernelSpec, num_features: int, k: int, seed: int,
-               max_iter: int = 1000) -> ClusterModel:
+               max_iter: int = MAX_ITER) -> ClusterModel:
     """Kernel k-means on a random Fourier feature embedding (Gaussian only)."""
     embed = rff_embedding(dataset, spec, num_features, seed)
     return lloyd(embed, k, seed, max_iter=max_iter)
@@ -103,7 +103,7 @@ def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: i
 
 
 def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                   max_iter: int = 1000) -> ClusterModel:
+                   max_iter: int = MAX_ITER) -> ClusterModel:
     """Kernel k-means with centers confined to the span of a sampled subset.
 
     Returns a ClusterModel whose centers are the k x subset_size combination

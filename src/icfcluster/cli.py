@@ -16,10 +16,10 @@ import time
 
 import numpy as np
 
-from .cluster import lloyd
+from .cluster import MAX_ITER, lloyd
 from .data import gen_synthetic, parse_libsvm, standardize, to_libsvm
 from .evaluate import BenchmarkConfig, accuracy, run_benchmark
-from .icf import dump_factor, icf_factorize, residual_trace
+from .icf import EPSILON, dump_factor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec
 
 
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", allow_abbrev=False, help="kernel k-means via incomplete Cholesky")
     _dataset_args(p)
     p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--seed", type=int, default=0, help="k-means++ seed")
     p.add_argument("--out", help="write one assignment per line here")
     p.set_defaults(func=cmd_cluster)
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", allow_abbrev=False, help="timed sweep over algorithms, sizes, seeds")
     _dataset_args(p)
     p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--algorithms", default="icf",
                    help="comma-separated subset of icf,kernel,chol,nystrom,rff,approx")
@@ -151,7 +151,7 @@ def _dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, required=True, help="Gaussian kernel parameter")
     p.add_argument("--subset-size", default="50",
                    help="factor rank cap; bench accepts a comma-separated list")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.add_argument("--standardize", action="store_true",
                    help="shift/scale each feature to mean 0, std 1 after loading")
 
@@ -174,14 +174,20 @@ def _load_dataset(args):
     return dataset
 
 
+# text is encoded and written this many characters at a time, so no encoded
+# copy of the whole text is held: a slice and its encoding stay near a megabyte
+_WRITE_CHARS = 1 << 18
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temp file beside it; an error names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-icfcluster-{os.urandom(8).hex()}")
     try:
-        f = open(tmp, "x", encoding="utf-8")  # a new file, which gets the umask's mode
+        f = open(tmp, "xb")  # a new file, which gets the umask's mode
         try:
             with f:
-                f.write(text)
+                for start in range(0, len(text), _WRITE_CHARS):
+                    f.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

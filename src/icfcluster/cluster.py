@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, _read_only, _rng, _ValueType
-from .icf import icf_factorize
+from .icf import EPSILON, icf_factorize
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
 # relative spectral cutoff: eigenvalues below this times the largest are
@@ -23,8 +23,9 @@ from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 EIG_CLAMP = 1e-12
 
 # Lloyd stops after an iteration that lowers its objective by at most this
-# fraction of it
+# fraction of it, and by default after MAX_ITER iterations
 TOL = 1e-6
+MAX_ITER = 1000
 
 # entries per block of the difference passes in _sq_dists and of the moved
 # points gathered by _add_moves (512 KB)
@@ -105,7 +106,7 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int, *, prepared: tuple | N
     return points[chosen].copy()
 
 
-def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000) -> ClusterModel:
+def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> ClusterModel:
     """Standard Lloyd iteration with k-means++ start and empty-cluster repair.
 
     Converges on an assignment fixpoint, or after an iteration that lowers
@@ -182,7 +183,7 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = 1000) -> Cluste
 
 
 def icf_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                epsilon: float = 1e-3, max_iter: int = 1000) -> ClusterModel:
+                epsilon: float = EPSILON, max_iter: int = MAX_ITER) -> ClusterModel:
     """Kernel k-means via incomplete Cholesky: factorize, then cluster rows of P.
 
     subset_size caps the factor rank; the achieved rank (centers.shape[1]) can
@@ -193,7 +194,7 @@ def icf_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, se
 
 
 def kernel_kmeans_oracle(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
-                         max_iter: int = 1000, guard: int = DEFAULT_GUARD) -> ClusterModel:
+                         max_iter: int = MAX_ITER, guard: int = DEFAULT_GUARD) -> ClusterModel:
     """Exact kernel k-means on the full Gram matrix (guarded; for reference).
 
     Embeds points as rows of U sqrt(D) from the eigendecomposition of K, with

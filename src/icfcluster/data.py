@@ -229,6 +229,9 @@ def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Datas
         raise ValueError(f"unknown kind {kind!r}, expected one of {_SYNTH_KINDS}")
     if per_cluster < 1:
         raise ValueError("per_cluster must be >= 1")
+    if not _fits_in_memory(2 * per_cluster, 2):
+        raise ValueError(f"per_cluster={per_cluster} needs a {2 * per_cluster} x 2 point matrix, "
+                         "more than this machine's memory")
     if not 0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = _rng(seed)

@@ -27,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import _approx_blocks, _approx_solve, chol_embedding, rff_embedding
-from .cluster import ClusterModel, lloyd, oracle_embedding, psd_embedding
+from .cluster import MAX_ITER, ClusterModel, lloyd, oracle_embedding, psd_embedding
 from .data import Dataset, _read_only
-from .icf import IcfFactor, icf_factorize, residual_trace
+from .icf import EPSILON, IcfFactor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
 ALGORITHMS = ("icf", "kernel", "chol", "nystrom", "rff", "approx")
@@ -145,7 +145,7 @@ def trace_objective(gram_or_factor, assignments: np.ndarray, k: int) -> float:
 
 
 def bound_gap(dataset: Dataset, spec: KernelSpec, k: int, subset_size: int, seed: int,
-              epsilon: float = 1e-3, max_iter: int = 1000,
+              epsilon: float = EPSILON, max_iter: int = MAX_ITER,
               guard: int = DEFAULT_GUARD) -> tuple[float, float]:
     """Observed vs guaranteed objective degradation from factoring.
 
@@ -205,8 +205,8 @@ class BenchmarkConfig:
     sigma: float
     clusters: int
     num_seeds: int = 10
-    epsilon: float = 1e-3
-    max_iter: int = 1000
+    epsilon: float = EPSILON
+    max_iter: int = MAX_ITER
     guard: int = DEFAULT_GUARD
 
 

@@ -46,6 +46,10 @@ NEGATIVE_TOL = 1e-10
 # the relative eigenvalue clamp used by the dense embedding paths
 RANK_TOL = 1e-12
 
+# the default residual-trace threshold: factorization stops once tr(K - P P^T)
+# falls to it
+EPSILON = 1e-3
+
 # a panel serves the steps of one block of _BLOCK factor rows and holds the
 # products of _CANDIDATES likely pivots with the rows before the block
 _BLOCK = 16
@@ -132,7 +136,7 @@ def _distinct(a: np.ndarray) -> bool:
     return not np.any(a[1:] == a[:-1])
 
 
-def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: float = 1e-3) -> IcfFactor:
+def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: float = EPSILON) -> IcfFactor:
     """Run the pivoted incomplete Cholesky loop.
 
     Stops as soon as the residual trace drops to epsilon or below, when
@@ -463,9 +467,8 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pivots, P, history
 
 
-# the rows of P are read in blocks of about this many values: the exact
-# reader's temporaries, about 200 bytes a value, then stay below what
-# np.loadtxt's take over a whole P
+# the rows of P are read in blocks of about this many values, so the exact
+# reader's temporaries, about 200 bytes a value, stay near a megabyte
 _READ_BLOCK = 2 ** 12
 
 
@@ -496,8 +499,8 @@ def _exact_rows(rows: list[str], s: int) -> np.ndarray | None:
     double-double arithmetic and kept if _significands(x, 17 - E) = M.  Then
     the token lies within 5e-18 x of x, and the nearest other double is more
     than 2^-54 x = 5.55e-17 x away, on either side, power of two or not; so x
-    is the token correctly rounded, as np.loadtxt and float() read it.  Every
-    other nonzero record is read by float().
+    is the token correctly rounded, as float() reads it.  Every other nonzero
+    record is read by float().
     """
     records = _records(rows, s)
     if records is None:
@@ -556,22 +559,8 @@ def _records(rows: list[str], s: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _read_rows(rows: list[str], s: int, first: int = 0) -> np.ndarray:
-    """The rows of P from first on, read by one np.loadtxt call when it can.
-
-    loadtxt reads a subset of float()'s syntax.  When it fails, or gives
-    anything but a finite len(rows) x s array, the rows are read one at a
-    time with float(), which names the first bad one.  A blank last row is
-    bad when s > 0 and goes to that loop directly, which also keeps loadtxt
-    from warning about input with no data.
-    """
-    if s and rows and rows[-1].strip():
-        try:
-            P = np.loadtxt(rows, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if P.shape == (len(rows), s) and np.all(np.isfinite(P)):
-                return P
+    """The rows of P from first on, read one at a time with float(), which
+    names the first bad one."""
     P = np.empty((len(rows), s))
     for i, line in enumerate(rows, first):
         row = _finite_floats(line, f"row {i} of P")

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from icfcluster import (BenchmarkConfig, KernelSpec, gen_synthetic, icf_factorize, parse_factor_dump,
                         parse_libsvm, run_benchmark)
+from icfcluster import cli
 from icfcluster.cli import main
 
 
@@ -66,6 +68,20 @@ class TestSynth:
         assert code == 1
         assert stderr == "error: disk full\n"
         assert os.listdir(tmp_path) == []
+
+    def test_a_large_output_is_written_without_a_whole_encoded_copy(self, tmp_path):
+        # 25 MB encoded, with two-byte and three-byte characters on every line
+        text = "1 1:0.5 2:\u00e9\u2028\n" * (21 * 2 ** 20 // 16)
+        out = tmp_path / "big.txt"
+        tracemalloc.start()
+        try:
+            cli._write_atomic(str(out), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert out.read_bytes() == text.encode("utf-8")
+        assert os.listdir(tmp_path) == ["big.txt"]
 
 
 class TestFactorize:
@@ -185,6 +201,19 @@ class TestBench:
         assert icf[:4] == ["ring", "icf", "5", "0"] and all(icf[4:])
         assert lines[3].startswith("algorithm=kernel rows=1 skipped=1 ")
 
+    def test_allow_full_gram_lifts_the_guard_to_n(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_GUARD", 10)
+        argv = ["bench", "synth:ring:8:0.05:0", "--sigma", "16", "--subset-size", "4", "--seeds", "1",
+                "--algorithms", "kernel,chol"]
+        # n = 16 is past the guard of 10, so both rows are skipped unless the flag lifts it
+        for flag, filled in (([], set()), (["--allow-full-gram"], {"kernel", "chol"})):
+            code, stdout, _ = run_cli(capsys, *argv, *flag)
+            assert code == 0
+            rows = [line.split(",") for line in stdout.splitlines()[1:3]]
+            assert [row[:4] for row in rows] == [["ring", "kernel", "4", "0"], ["ring", "chol", "4", "0"]]
+            assert {row[1] for row in rows if all(row[4:])} == filled
+            assert {row[1] for row in rows if not any(row[4:])} == {"kernel", "chol"} - filled
+
     def test_a_rank_0_factor_leaves_its_row_unclustered_and_the_sweep_goes_on(self, capsys):
         # epsilon above tr(K) = 6 stops the factorization before its first column
         code, stdout, _ = run_cli(
@@ -293,6 +322,19 @@ class TestErrorPaths:
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert f"noise must be finite and >= 0, got {float(noise)}" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("per_cluster", [10 ** 30, 2 ** 63], ids=["10**30", "2**63"])
+    @pytest.mark.parametrize("argv", [["synth", "ring", "{n}", "0.1", "1", "{out}"],
+                                      ["factorize", "synth:ring:{n}:0.1:1", "--sigma", "1"]],
+                             ids=["synth", "spec"])
+    def test_a_per_cluster_too_large_for_memory_is_refused_by_name(self, tmp_path, capsys, argv, per_cluster):
+        out = tmp_path / "x.libsvm"
+        code, stdout, stderr = run_cli(capsys, *(a.format(n=per_cluster, out=out) for a in argv))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert stderr.endswith(f"per_cluster={per_cluster} needs a {2 * per_cluster} x 2 point matrix, "
+                               "more than this machine's memory\n")
         assert not out.exists()
 
     def test_cluster_on_a_rank_0_factor(self, capsys):

@@ -739,6 +739,14 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic("ring", 10, -0.1, 0)
 
+    # refused before anything is allocated: a size this machine could hold
+    # would really be allocated, so only ones far past its memory are tried
+    @pytest.mark.parametrize("per_cluster", [10 ** 30, 2 ** 63], ids=["10**30", "2**63"])
+    def test_per_cluster_too_large_for_memory_is_refused_by_name(self, per_cluster):
+        with pytest.raises(ValueError, match=rf"^per_cluster={per_cluster} needs a {2 * per_cluster} x 2 point "
+                                             r"matrix, more than this machine's memory$"):
+            gen_synthetic("ring", per_cluster, 0.1, 1)
+
     @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf, -0.1])
     def test_noise_must_be_finite_and_non_negative(self, noise):
         with pytest.raises(ValueError, match=r"noise must be finite and >= 0"):

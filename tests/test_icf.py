@@ -722,7 +722,7 @@ class TestDumpAndParse:
     @pytest.mark.parametrize("n,rows,bad", [(2, "1.0\n\n", 1), (3, "1.0\n\n2.0\n", 1), (2, "\n\n", 0)])
     def test_parse_names_a_blank_row_of_P(self, n, rows, bad):
         text = f"ICF {n} 1\n0\n{rows}3.0 1.0\n"
-        # all rows blank must not reach np.loadtxt, which warns on empty input
+        # no reader path may warn, even on rows that are all blank
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"row {bad} of P has 0 values"):

@@ -1,15 +1,16 @@
 """Property tests for the k-means++ seeding, the Lloyd loop, the dense
-LIBSVM fast path, the incomplete Cholesky factor, its text dump and the
-reader's exact path, and the command line, on drawn inputs.
+LIBSVM fast path, LIBSVM line numbers, the incomplete Cholesky factor, its
+text dump and the reader's exact path, and the command line, on drawn inputs.
 
 Cluster inputs are drawn with duplicated rows, offsets far from the origin
 and scales from 1e-8 to 1e8; LIBSVM blocks are dense with near-miss tokens
-mixed in; factor inputs span several panel blocks and reach rank exhaustion;
-dumped values are any finite float64, from raw bit patterns and from every
-decimal magnitude, and dumps to read carry near-miss records; command lines
-carry NaN, infinite, negative, zero and huge numbers.  The runs are
-derandomized and keep no example database, so every run checks the same
-examples.
+mixed in, and LIBSVM texts end their lines with every str.splitlines break
+and hold at most one faulty line; factor inputs span several panel blocks
+and reach rank exhaustion; dumped values are any finite float64, from raw
+bit patterns and from every decimal magnitude, and dumps to read carry
+near-miss records; command lines carry NaN, infinite, negative, zero and
+huge numbers.  The runs are derandomized and keep no example database, so
+every run checks the same examples.
 """
 
 import contextlib
@@ -201,6 +202,74 @@ def test_dense_block_takes_what_convert_block_takes_with_the_same_bits(case):
         assert fast[0].dtype == labels.dtype and np.array_equal(fast[0], labels)
         assert fast[1].shape == rows.shape
         assert np.array_equal(fast[1].view(np.int64), rows.view(np.int64))
+
+
+# every line break of str.splitlines, whose lines parse_libsvm numbers, and
+# lines that each break one rule of the format wherever they stand
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+BAD_LINES = ("x 1:1", "1.5 1:1", "-1 1:1", "1 1:x", "1 1:nan", "1 0:1", "1 2:1 1:1", "1 1:", "1 :1", "1 1:1:1")
+# built once: a strategy made anew on every draw costs more than the parse
+BLANK_LINES = st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["", " ", "\t"])), max_size=4)
+BAD_LINE = st.none() | st.tuples(st.integers(0, 40), st.sampled_from(BAD_LINES))
+BREAKS = st.lists(st.sampled_from(LINE_BREAKS), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def libsvm_texts(draw):
+    """(text, fault, block_chars): 1-25 dense or sparse data lines with blank
+    lines among them and at most one faulty line, each line ended by one of
+    a few drawn line breaks (the last maybe by none); fault is the faulty
+    line's 1-based number in text.splitlines(), or None; block_chars is a
+    small block size."""
+    n_rows, w = draw(st.integers(1, 25)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = draw(st.sampled_from([0.0, 0.8, 1.0]))
+    lines = []
+    for label in rng.integers(0, 20, n_rows).tolist():
+        columns = np.arange(1, w + 1)
+        if rng.random() >= dense:
+            columns = columns[rng.random(w) < 0.6] if w > 1 else columns
+            columns = columns if columns.size else np.array([w])
+        values = rng.normal(size=columns.size) * 10.0 ** rng.integers(-5, 6, size=columns.size)
+        lines.append(" ".join([str(label), *(f"{j}:{v!r}" for j, v in zip(columns.tolist(), values.tolist()))]))
+    for at, blank in draw(BLANK_LINES):
+        lines.insert(at % (len(lines) + 1), blank)
+    bad = draw(BAD_LINE)
+    if bad is not None:
+        bad = (bad[0] % (len(lines) + 1), bad[1])
+        lines.insert(*bad)
+    breaks = draw(BREAKS)
+    ends = [breaks[i] for i in rng.integers(len(breaks), size=len(lines)).tolist()]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    fault = None
+    if bad is not None:
+        # a break that ends a line before the faulty one may merge with the
+        # next (a CR before a blank line's LF), so the number is counted
+        fault = len("".join(line + end for line, end in zip(lines[:bad[0]], ends)).splitlines()) + 1
+    return text, fault, draw(st.integers(1, 64))
+
+
+@SETTINGS
+@given(libsvm_texts())
+def test_every_source_names_the_faulty_line_of_splitlines_or_gives_the_same_bits(case):
+    text, fault, block_chars = case
+    raw = text.encode("utf-8")
+    sources = {"str": text, "bytes": raw, "binary file": io.BytesIO(raw),
+               "UTF-8 text-mode file": io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")}
+    parsed = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_BLOCK_CHARS", block_chars)
+        for form, source in sources.items():
+            if fault is not None:
+                with pytest.raises(data.ParseError) as info:
+                    data.parse_libsvm(source)
+                assert info.value.line_no == fault, form
+            else:
+                ds = data.parse_libsvm(source)
+                parsed.add((ds.labels.tobytes(), ds.points.shape, ds.points.tobytes()))
+    assert len(parsed) == (fault is None)
 
 
 @st.composite
@@ -403,8 +472,9 @@ def faulty_dumps(draw):
 
 
 def parent_reader(text):
-    """parse_factor_dump with every row of P read by one _read_rows call, as
-    the reader read them before it took dump_factor's blocks exactly."""
+    """parse_factor_dump with every row of P read by one _read_rows call, a
+    row at a time by float(), as the reader read them before it took
+    dump_factor's blocks exactly."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(icf, "_read_P", icf._read_rows)
         return parse_factor_dump(text)
@@ -504,6 +574,12 @@ def cli_runs(draw):
           "--max-iter=5", "--seed=1"])
 @example(["bench", "synth:ring:3:0.1:1", "--sigma=1e308", "--epsilon=1e-3", "--subset-size=2", "--clusters=2",
           "--max-iter=5", "--seeds=2", "--algorithms=rff"])
+# per_cluster values past any machine's memory, once numpy's bare "Maximum
+# allowed dimension exceeded", in both spellings
+@example(["synth", "--", "ring", str(10 ** 30), "0.1", "1", "{out}"])
+@example(["synth", "--", "ring", str(2 ** 63), "0.1", "1", "{out}"])
+@example(["factorize", f"synth:ring:{10 ** 30}:0.1:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=2"])
+@example(["factorize", f"synth:ring:{2 ** 63}:0.1:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=2"])
 def test_every_command_exits_0_or_1_with_one_error_line_and_leaves_no_file_behind(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
