@@ -12,6 +12,7 @@ import codecs
 import contextlib
 import io
 import os
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -22,6 +23,15 @@ _SYNTH_KINDS = ("ring", "parabolic", "zigzag")
 # LIBSVM text is converted one block of about this many characters at a time,
 # so a block's token lists, not the whole text's, sit beside the rows read
 _BLOCK_CHARS = 1 << 17
+
+# a block is cut just after one of str.splitlines' single-byte line breaks,
+# never between the CR and LF of a CRLF.  Bytes are never cut at \x85, which
+# may be the second byte of a UTF-8 character.  A file's cut is looked for in
+# pieces of at most _LINE_CHARS, and never more than _BLOCK_CHARS, so what is
+# read past it fits in the next block
+_BREAKS = re.compile("\r\n?|[\n\x0b\x0c\x1c-\x1e]")
+_BYTE_BREAKS = re.compile(_BREAKS.pattern.encode())
+_LINE_CHARS = 1 << 12
 
 # every byte but the space and the colon, deleted to leave the order in which
 # those two occur
@@ -112,8 +122,10 @@ class Dataset(_ValueType):
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM text into a Dataset.
 
-    The text is read in blocks of about 128 KB, each cut just after a newline:
-    a str is sliced in place, and any other source is read a block at a time.
+    The text is read in blocks of about 128 KB, each cut just after a
+    single-byte line break (LF, CRLF, a bare CR, \\x0b, \\x0c or
+    \\x1c-\\x1e): a str is sliced in place, and any other source is read a
+    block at a time.
     A block of dense lines, ``<label> 1:<value> ... w:<value>`` in plain
     decimal numbers split by single spaces, is read by one np.loadtxt call
     (_dense_block).  Any other block is converted by a few whole-block string
@@ -229,9 +241,8 @@ def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Datas
         raise ValueError(f"unknown kind {kind!r}, expected one of {_SYNTH_KINDS}")
     if per_cluster < 1:
         raise ValueError("per_cluster must be >= 1")
-    if not _fits_in_memory(2 * per_cluster, 2):
-        raise ValueError(f"per_cluster={per_cluster} needs a {2 * per_cluster} x 2 point matrix, "
-                         "more than this machine's memory")
+    if refusal := _memory_refusal(2 * per_cluster, 2):
+        raise ValueError(f"per_cluster={per_cluster} {refusal}")
     if not 0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = _rng(seed)
@@ -286,19 +297,34 @@ def _triangle_wave(x: np.ndarray) -> np.ndarray:
 
 def _blocks(text):
     """Yield a str or a file's contents in pieces of about _BLOCK_CHARS
-    characters or bytes, each cut just after a newline.  A file object is read
-    one piece at a time; a binary file's pieces are bytes, which a cut at a
-    newline leaves whole UTF-8, and a text-mode file's are str, decoded
-    inside its own read."""
+    characters or bytes, each cut just after the first line break (_BREAKS)
+    at least _BLOCK_CHARS in.  A file object is read one piece at a time; a
+    binary file's pieces are bytes, which a cut at an ASCII line break leaves
+    whole UTF-8, and a text-mode file's are str, decoded inside its own read."""
     if isinstance(text, str):
         start = 0
         while start < len(text):
-            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+            cut = _BREAKS.search(text, start + _BLOCK_CHARS)
+            end = cut.end() if cut else len(text)
             yield text[start:end]
             start = end
         return
-    while block := text.read(_BLOCK_CHARS):
-        yield block + text.readline()
+    block, piece = text.read(_BLOCK_CHARS), min(_LINE_CHARS, _BLOCK_CHARS)
+    while block:
+        breaks, cr, lf = (_BREAKS, "\r", "\n") if isinstance(block, str) else (_BYTE_BREAKS, b"\r", b"\n")
+        parts, cut = [block], None
+        while cut is None and (line := text.readline(piece)):
+            cut = breaks.search(line)
+            parts.append(line[:cut.end()] if cut else line)
+        rest = line[cut.end():] if cut else line
+        if not rest and parts[-1][-1:] == cr:
+            # the LF of a CRLF may not be read yet; it stays with its CR
+            rest = text.read(1)
+            if rest == lf:
+                parts.append(rest)
+                rest = rest[:0]
+        yield block[:0].join(parts)
+        block = rest + text.read(_BLOCK_CHARS - len(rest))
 
 
 def _byte_position(text) -> int | None:
@@ -352,8 +378,8 @@ def _dense_block(lines: list[str], rows_before: int, max_index: int,
     marks = text.encode("ascii", "replace").translate(_DOTS, b"0123456789+-")
     if b" ." in marks or marks.translate(None, b".") != b"\n".join([b" :" * w] * n_rows):
         return None
-    if not _fits_in_memory(rows_before + n_rows, num_features or max(max_index, w)):
-        return None  # for _convert_block's message
+    if _memory_refusal(rows_before + n_rows, num_features or max(max_index, w)):
+        return None  # for _convert_block to name the cause after its other rules
     try:
         table = np.loadtxt(text.replace(":", " ").splitlines(), comments=None, ndmin=2)
     except ValueError:
@@ -412,10 +438,9 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int,
     if num_features and width > num_features:
         raise ValueError(f"index {width} exceeds num_features={num_features}")
     total_rows, widest = rows_before + n_rows, num_features or max(max_index, width)
-    if not _fits_in_memory(total_rows, widest):
+    if refusal := _memory_refusal(total_rows, widest):
         cause = f"num_features={widest}" if num_features else f"index {widest}"
-        raise ValueError(f"{cause} needs a dense {total_rows} x {widest} point matrix "
-                         f"of {total_rows * widest * 8 / 1e9:.3g} GB, more than this machine's memory")
+        raise ValueError(f"{cause} {refusal}")
     idx = np.fromiter(map(index_of.__getitem__, index_tokens), np.int64, n_tokens)
     # each index must exceed the one before it in its row, the first one 0
     prev = np.zeros_like(idx)
@@ -460,9 +485,13 @@ def _label(token: str) -> int:
     return label
 
 
-def _fits_in_memory(rows: int, width: int) -> bool:
-    """Whether a dense rows x width float64 matrix fits in the machine's physical memory."""
-    return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _memory_refusal(rows: int, width: int) -> str | None:
+    """None when a dense rows x width float64 point matrix fits in the
+    machine's physical memory; otherwise why it is refused, to follow the
+    name of what asked for it.  The arithmetic is on ints, so any size works."""
+    if rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        return None
+    return f"needs a dense {rows} x {width} point matrix, more than this machine's memory"
 
 
 def _opened(source):
@@ -470,8 +499,9 @@ def _opened(source):
     object (bytes in a BytesIO); a path's file is closed on exit."""
     if isinstance(source, bytes):
         return contextlib.nullcontext(io.BytesIO(source))
-    if isinstance(source, str) and ("\n" in source or not os.path.isfile(source)):
-        # a string is raw content unless it points at an existing file
+    if isinstance(source, str) and (_BREAKS.search(source) or not os.path.isfile(source)):
+        # a string is raw content unless it points at an existing file; one
+        # with a line break is content, so a long text is never encoded as a path
         return contextlib.nullcontext(source)
     if isinstance(source, (str, os.PathLike)):
         return open(source, "rb")

@@ -155,9 +155,9 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
     u P is taken from a panel where it can.  The rows of PT form blocks of
     _BLOCK.  At the first step of block m >= 1 (s = mB), one matrix product
     gives the panel, the products with PT[:mB] of the _CANDIDATES likeliest
-    pivots: the unselected indices with the largest r = diag - sum_{j<mB}
-    P[:, j]^2, kept apart from e and folded one finished block at a time.  A
-    step whose pivot is a candidate adds the products with the block's own
+    pivots: the indices with the largest e.  Selected entries of e are 0, so
+    they fill the panel only once fewer than _CANDIDATES entries are positive.
+    A step whose pivot is a candidate adds the products with the block's own
     rows to its panel row; any other step reads all of PT.
 
     Args:
@@ -174,7 +174,7 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
     diag = kernel_diag(spec, dataset)
     PT = np.empty((max_rank, n))
     pivots = np.empty(max_rank, dtype=np.int64)
-    e, r, rows = diag.copy(), diag.copy(), {}
+    e, rows = diag.copy(), {}
     history = [float(np.sum(diag))]
     panel = np.empty((min(_CANDIDATES, n), n)) if max_rank > _BLOCK else None
     s = 0
@@ -191,10 +191,7 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
         col = kernel_column(spec, dataset, t)
         start = s - s % _BLOCK
         if s and s == start:
-            block = PT[s - _BLOCK:s]
-            r -= np.einsum("ij,ij->j", block, block)
-            r[pivots[s - _BLOCK:s]] = -np.inf
-            candidates = np.sort(np.argpartition(r, n - len(panel))[n - len(panel):])
+            candidates = np.sort(np.argpartition(e, n - len(panel))[n - len(panel):])
             np.matmul(PT[:s, candidates].T, PT[:s], out=panel)
             rows = dict(zip(candidates.tolist(), range(len(panel))))
         p = PT[s]

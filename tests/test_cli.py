@@ -284,11 +284,14 @@ class TestErrorPaths:
         assert "bad synthetic spec" in stderr
 
     def test_index_too_large_for_memory(self, tmp_path, capsys):
+        # 10**400 overflows a float, so the refusal is sized in ints
         path = tmp_path / "wide.libsvm"
-        path.write_text("1 1:1\n1 1000000000000000:1\n")
-        code, _, stderr = run_cli(capsys, "cluster", str(path), "--sigma", "1")
-        assert code == 1
-        assert stderr.startswith("error: line 2: index 1000000000000000 needs a dense 2 x 1000000000000000")
+        for idx in (10 ** 15, 10 ** 400):
+            path.write_text(f"1 1:1\n1 {idx}:1\n")
+            code, stdout, stderr = run_cli(capsys, "cluster", str(path), "--sigma", "1")
+            assert (code, stdout) == (1, "")
+            assert stderr == (f"error: line 2: index {idx} needs a dense 2 x {idx} point matrix, "
+                              "more than this machine's memory\n")
 
     def test_byte_not_utf8_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "latin1.libsvm"
@@ -333,7 +336,7 @@ class TestErrorPaths:
         code, stdout, stderr = run_cli(capsys, *(a.format(n=per_cluster, out=out) for a in argv))
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
-        assert stderr.endswith(f"per_cluster={per_cluster} needs a {2 * per_cluster} x 2 point matrix, "
+        assert stderr.endswith(f"per_cluster={per_cluster} needs a dense {2 * per_cluster} x 2 point matrix, "
                                "more than this machine's memory\n")
         assert not out.exists()
 

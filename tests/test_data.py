@@ -190,9 +190,10 @@ class TestParseLibsvm:
         assert str(exc.value).startswith(message)
 
     def test_index_too_large_for_memory_names_its_line(self):
-        # 10**30 does not fit in int64, 10**15 does; either makes a dense
-        # matrix of petabytes, refused before anything is allocated
-        for idx in (10 ** 15, 10 ** 30):
+        # 10**30 does not fit in int64, 10**15 does, and 10**400 overflows a
+        # float; each makes a dense matrix of petabytes, refused before
+        # anything is allocated
+        for idx in (10 ** 15, 10 ** 30, 10 ** 400):
             with pytest.raises(ParseError) as exc:
                 parse_libsvm(f"1 1:1.0\n\n2 3:1.0 {idx}:2.0\n0 1:1.0\n")
             assert exc.value.line_no == 3
@@ -203,7 +204,8 @@ class TestParseLibsvm:
     def test_memory_rule_counts_the_widest_index_before(self, block_chars, monkeypatch):
         # a narrow line after a wide one adds a row as wide as the wide one,
         # whether the two lines share a block or not
-        monkeypatch.setattr(data, "_fits_in_memory", lambda rows, width: rows * width <= 4)
+        # a machine of 32 bytes: a matrix of 4 float64 values fits, 6 do not
+        monkeypatch.setattr(data.os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}.__getitem__)
         monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
         with pytest.raises(ParseError) as exc:
             parse_libsvm("1 3:1\n1 1:1\n")
@@ -252,6 +254,27 @@ class TestParseLibsvm:
         finally:
             tracemalloc.stop()
         assert peak < len(raw)
+
+    @pytest.mark.parametrize("form", ["str", "bytes", "text file object"])
+    @pytest.mark.parametrize("end", ["\r", "\x1e"], ids=["CR", "RS"])
+    def test_peak_memory_stays_below_the_length_whatever_single_byte_break_ends_the_lines(
+            self, end, form, tmp_path):
+        # blocks are cut after any single-byte line break, not only after
+        # "\n", so such a text is not converted as one block; the file is
+        # opened with newline="" so that its CRs reach the reader untranslated
+        rng = np.random.default_rng(8)
+        text = to_libsvm(Dataset(rng.normal(size=(10_000, 16)), rng.integers(0, 10, 10_000))).replace("\n", end)
+        path = tmp_path / "points.libsvm"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8", newline="") as f:
+            source = {"str": text, "bytes": text.encode(), "text file object": f}[form]
+            tracemalloc.start()
+            try:
+                parse_libsvm(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < len(text)
 
     def test_large_reference_file_when_present(self):
         path = os.environ.get("PENDIGITS_PATH", "")
@@ -453,6 +476,18 @@ class TestParseFilesByBlocks:
         assert np.array_equal(bits(ds.points), bits(points))
         assert np.array_equal(ds.labels, labels)
 
+    @pytest.mark.parametrize("block_chars", range(1, 13))
+    def test_blocks_end_at_single_byte_breaks_and_keep_each_crlf_whole(self, block_chars, monkeypatch):
+        # bare CRs and CRLFs fall on every block edge; \x85 (U+0085 is
+        # b"\xc2\x85") and U+2028 end lines too, but are no cuts
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
+        text = "1 1:1\r\n2 1:2\r3 1:3\r\r\n4 1:4\x1e5 1:5\x0b\r\n6 1:6\x857 1:7\u20288 1:8\r"
+        raw = text.encode()
+        sources = {"str": (text, text), "bytes file object": (io.BytesIO(raw), raw),
+                   "text file object": (io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), text)}
+        for form, (source, whole) in sources.items():
+            assert list(data._blocks(source)) == cut_after_breaks(whole, block_chars), form
+
     @pytest.mark.parametrize("form", FILE_FORMS)
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("kind", FAULTS)
@@ -461,6 +496,24 @@ class TestParseFilesByBlocks:
         with pytest.raises(ParseError) as exc:
             parse_libsvm(as_file(text, form, tmp_path))
         assert exc.value.line_no == at + 1
+
+
+def cut_after_breaks(text, block_chars: int) -> list:
+    """text (str or bytes) in the blocks parse_libsvm reads: each ends just
+    after the first single-byte line break at least block_chars in, where a
+    CRLF is one break."""
+    breaks, crlf = "\n\r\x0b\x0c\x1c\x1d\x1e", "\r\n"
+    if isinstance(text, bytes):
+        breaks, crlf = breaks.encode(), crlf.encode()
+    blocks, start = [], 0
+    while start < len(text):
+        end = start + block_chars
+        while end < len(text) and text[end:end + 1] not in breaks:
+            end += 1
+        end += 1 + (text[end:end + 2] == crlf)
+        blocks.append(text[start:end])
+        start = end
+    return blocks
 
 
 def with_wide_line(sparse: bool) -> tuple[str, int]:
@@ -743,7 +796,7 @@ class TestGenSynthetic:
     # would really be allocated, so only ones far past its memory are tried
     @pytest.mark.parametrize("per_cluster", [10 ** 30, 2 ** 63], ids=["10**30", "2**63"])
     def test_per_cluster_too_large_for_memory_is_refused_by_name(self, per_cluster):
-        with pytest.raises(ValueError, match=rf"^per_cluster={per_cluster} needs a {2 * per_cluster} x 2 point "
+        with pytest.raises(ValueError, match=rf"^per_cluster={per_cluster} needs a dense {2 * per_cluster} x 2 point "
                                              r"matrix, more than this machine's memory$"):
             gen_synthetic("ring", per_cluster, 0.1, 1)
 

@@ -372,6 +372,29 @@ class TestPanel:
         assert np.max(np.abs(f.P - P)) <= 1e-12 * np.sqrt(scale)
         assert np.max(np.abs(f.trace_history - history)) <= 1e-12 * history[0]
 
+    def test_a_block_start_with_fewer_positive_residuals_than_candidates(self, monkeypatch):
+        # 18 distinct points, each twice: at the block start at 16 only the
+        # two unselected points' copies and rounding leftovers are positive,
+        # so selected pivots, exactly 0, fill the rest of the panel
+        rng = np.random.default_rng(27)
+        ds = Dataset(rng.normal(size=(18, 3))[rng.permutation(np.arange(36) % 18)])
+        spec = KernelSpec(sigma=1.0)
+        at_edge = icf_factorize(ds, spec, max_rank=icf._BLOCK, epsilon=1e-300)
+        assert np.count_nonzero(at_edge.residual_diag > 0.0) < icf._CANDIDATES
+        counting = _CountingNumpy()
+        monkeypatch.setattr(icf, "np", counting)
+        f = icf_factorize(ds, spec, max_rank=24, epsilon=1e-300)
+        monkeypatch.undo()
+        assert f.s == 18
+        P, pivots, history, evals = plain_loop(ds, spec, f.s)
+        assert np.array_equal(f.pivots, pivots)
+        assert f.kernel_evals == evals
+        assert np.max(np.abs(f.P - P)) <= 1e-12
+        assert np.max(np.abs(f.trace_history - history)) <= 1e-12 * history[0]
+        assert_ranks_are_prefixes(ds, spec, f, [15, 16, 17, 18, 19])
+        # every step after the block start takes its pivot's panel row
+        assert [rows for s, rows in enumerate(counting.rows) if s >= icf._BLOCK] == [0, 1]
+
     def test_most_steps_read_only_their_blocks_rows(self, monkeypatch):
         # a silent fall back to the plain loop would read all of P at every step
         counting = _CountingNumpy()
