@@ -27,15 +27,9 @@ EIG_CLAMP = 1e-12
 TOL = 1e-6
 MAX_ITER = 1000
 
-# entries per block of the difference passes in _sq_dists and of the moved
-# points gathered by _add_moves (512 KB)
+# entries per block of the difference passes in _sq_dists (n x b columns)
+# and of the moved points gathered by _add_moves (512 KB)
 _BLOCK_SIZE = 1 << 16
-
-# from this many points on, _sq_dists sweeps whole columns instead of s x b
-# blocks: on a column-major P the sweep reads columns as they lie (the mean
-# form ran 1.8 times as fast at 10,992 x 500), while on fewer points the
-# per-column calls cost more than they save
-_COLUMN_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -299,32 +293,30 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None
     """Squared distance of each row to one center, or of row i to centers[assign[i]].
 
     Each row's squared differences are summed over s in column order, so the
-    result has the same bits for any memory layout.  From _COLUMN_ROWS rows
-    on, the sum runs one whole column at a time, which reads a column-major P
-    as it lies; below, differences are formed in s x b blocks of _BLOCK_SIZE
-    entries.  Neither path makes an n x s temporary.
+    result has the same bits for any memory layout.  The differences are
+    formed n x b columns at a time, b = max(1, _BLOCK_SIZE // n), in a
+    column-major buffer whose column 0 holds the running sums: reducing its
+    columns adds one column after another.  The buffer has at least two rows,
+    since numpy sums a lone row pairwise.  No n x s temporary is made.
     """
     n, s = points.shape
-    # the ids lie in [0, k), so mode="clip" changes none and spares take a buffered copy
-    if n >= _COLUMN_ROWS:
-        out, diff = np.zeros(n), np.empty(n)
-        for j in range(s):
-            ref = centers[j] if assign is None else np.take(centers[:, j], assign, out=diff, mode="clip")
-            np.subtract(points[:, j], ref, out=diff)
-            np.multiply(diff, diff, out=diff)
-            out += diff
-        return out
-    rows = max(1, _BLOCK_SIZE // max(s, 1))
-    out = np.empty(n)
-    buf = np.empty((s, min(n, rows)))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        diff = buf[:, : hi - lo]
-        ref = (centers[:, None] if assign is None
-               else np.take(centers.T, assign[lo:hi], axis=1, out=diff, mode="clip"))
-        np.subtract(points[lo:hi].T, ref, out=diff)
-        np.einsum("ij,ij->j", diff, diff, out=out[lo:hi])
-    return out
+    cols = max(1, _BLOCK_SIZE // max(n, 1))
+    out = np.zeros(max(n, 2))
+    buf = np.zeros((out.size, min(s, cols) + 1), order="F")
+    for j0 in range(0, s, cols):
+        j1 = min(j0 + cols, s)
+        # the sums are reduced into out, not into column 0, which numpy would copy first
+        buf[:, 0] = out
+        diff = buf[:n, 1:j1 - j0 + 1]
+        if assign is None:
+            np.subtract(points[:, j0:j1], centers[j0:j1], out=diff)
+        else:
+            # the ids lie in [0, k), so mode="clip" changes none and spares take a buffered copy
+            np.take(centers[:, j0:j1].T, assign, axis=1, out=diff.T, mode="clip")
+            np.subtract(points[:, j0:j1], diff, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(buf[:, :j1 - j0 + 1], axis=1, out=out)
+    return out[:n]
 
 
 def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:

@@ -24,13 +24,14 @@ _SYNTH_KINDS = ("ring", "parabolic", "zigzag")
 # so a block's token lists, not the whole text's, sit beside the rows read
 _BLOCK_CHARS = 1 << 17
 
-# a block is cut just after one of str.splitlines' single-byte line breaks,
-# never between the CR and LF of a CRLF.  Bytes are never cut at \x85, which
-# may be the second byte of a UTF-8 character.  A file's cut is looked for in
-# pieces of at most _LINE_CHARS, and never more than _BLOCK_CHARS, so what is
-# read past it fits in the next block
-_BREAKS = re.compile("\r\n?|[\n\x0b\x0c\x1c-\x1e]")
-_BYTE_BREAKS = re.compile(_BREAKS.pattern.encode())
+# a block is cut just after one of str.splitlines' line breaks, never between
+# the CR and LF of a CRLF.  Bytes are cut after \x85, \u2028 and \u2029 only
+# at their whole UTF-8 sequences, which begin with a lead byte, so a cut never
+# splits a character.  A file's cut is looked for in pieces of at most
+# _LINE_CHARS, and never more than _BLOCK_CHARS, so what is read past it fits
+# in the next block
+_BREAKS = re.compile("\r\n?|[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_BYTE_BREAKS = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 _LINE_CHARS = 1 << 12
 
 # every byte but the space and the colon, deleted to leave the order in which
@@ -122,9 +123,9 @@ class Dataset(_ValueType):
 def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM text into a Dataset.
 
-    The text is read in blocks of about 128 KB, each cut just after a
-    single-byte line break (LF, CRLF, a bare CR, \\x0b, \\x0c or
-    \\x1c-\\x1e): a str is sliced in place, and any other source is read a
+    The text is read in blocks of about 128 KB, each cut just after a line
+    break (LF, CRLF, a bare CR, \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028 or
+    \\u2029): a str is sliced in place, and any other source is read a
     block at a time.
     A block of dense lines, ``<label> 1:<value> ... w:<value>`` in plain
     decimal numbers split by single spaces, is read by one np.loadtxt call
@@ -299,8 +300,9 @@ def _blocks(text):
     """Yield a str or a file's contents in pieces of about _BLOCK_CHARS
     characters or bytes, each cut just after the first line break (_BREAKS)
     at least _BLOCK_CHARS in.  A file object is read one piece at a time; a
-    binary file's pieces are bytes, which a cut at an ASCII line break leaves
-    whole UTF-8, and a text-mode file's are str, decoded inside its own read."""
+    binary file's pieces are bytes, which a cut after a whole break
+    (_BYTE_BREAKS) leaves whole UTF-8, and a text-mode file's are str,
+    decoded inside its own read."""
     if isinstance(text, str):
         start = 0
         while start < len(text):
@@ -312,11 +314,14 @@ def _blocks(text):
     block, piece = text.read(_BLOCK_CHARS), min(_LINE_CHARS, _BLOCK_CHARS)
     while block:
         breaks, cr, lf = (_BREAKS, "\r", "\n") if isinstance(block, str) else (_BYTE_BREAKS, b"\r", b"\n")
-        parts, cut = [block], None
+        parts, cut, tail = [block], None, block[:0]
         while cut is None and (line := text.readline(piece)):
-            cut = breaks.search(line)
-            parts.append(line[:cut.end()] if cut else line)
-        rest = line[cut.end():] if cut else line
+            # a multi-byte break may begin in the last two bytes of the pieces before
+            cut = breaks.search(tail + line)
+            end = cut.end() - len(tail) if cut else len(line)
+            parts.append(line[:end])
+            tail = (tail + line)[-2:]
+        rest = line[end:] if cut else line
         if not rest and parts[-1][-1:] == cr:
             # the LF of a CRLF may not be read yet; it stays with its CR
             rest = text.read(1)

@@ -22,7 +22,7 @@ from icfcluster import (
     psd_embedding,
 )
 from icfcluster import cluster
-from icfcluster.cluster import _COLUMN_ROWS, _add_moves, _lowest_rows, _one_hot, _repair_empty, _sq_dists
+from icfcluster.cluster import _BLOCK_SIZE, _add_moves, _lowest_rows, _one_hot, _repair_empty, _sq_dists
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -229,7 +229,7 @@ def _property_cases():
     """(points, k) pairs: seeded random inputs of mixed scale, then the edge
     cases n = 1, k = n, duplicate points (k at and beyond the number of
     distinct points), all points identical, and k = 1, then a tall input
-    whose distance passes sweep whole columns."""
+    of 4,096 points."""
     rng = np.random.default_rng(2024)
     cases = []
     for _ in range(12):
@@ -244,7 +244,7 @@ def _property_cases():
     cases.append((np.zeros((6, 2)), 3))
     cases.append((rng.normal(size=(40, 4)), 1))
     means = 3.0 * rng.normal(size=(4, 3))
-    cases.append((means[rng.integers(0, 4, _COLUMN_ROWS)] + rng.normal(size=(_COLUMN_ROWS, 3)), 4))
+    cases.append((means[rng.integers(0, 4, 4096)] + rng.normal(size=(4096, 3)), 4))
     return cases
 
 
@@ -361,12 +361,13 @@ def column_loop_sq_dists(points, centers, assign=None):
     return out
 
 
-@pytest.mark.parametrize("n", [_COLUMN_ROWS - 1, _COLUMN_ROWS, 3 * _COLUMN_ROWS + 5])
+@pytest.mark.parametrize("n", [1, 2, 600, 4095, 4096, 12293])
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("s", [1, 7, 130])
-def test_sq_dists_sums_in_column_order_on_both_paths(n, order, s):
-    # below _COLUMN_ROWS the sum runs over s x b blocks, from it on over
-    # whole columns; both must give the plain loop's bits in either layout
+def test_sq_dists_sums_in_column_order_in_both_forms(n, order, s):
+    # the sum runs over blocks of as many whole columns as _BLOCK_SIZE holds;
+    # both forms must give the plain loop's bits in either layout, a lone row
+    # included
     rng = np.random.default_rng(n + s)
     points = np.asarray(rng.normal(size=(n, s)) * 10.0 ** rng.integers(-3, 4, size=s) + 5.0, order=order)
     mean = points.mean(axis=0)
@@ -375,6 +376,24 @@ def test_sq_dists_sums_in_column_order_on_both_paths(n, order, s):
     for got, want in ((_sq_dists(points, mean), column_loop_sq_dists(points, mean)),
                       (_sq_dists(points, centers, assign), column_loop_sq_dists(points, centers, assign))):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n, s", [(600, 600), (10_992, 500), (200_000, 3)])
+def test_sq_dists_holds_one_block_of_differences(n, s):
+    # both forms hold at most _BLOCK_SIZE differences plus a few n-vectors
+    # (the running sums and the result) and numpy's ufunc buffer, whatever
+    # the shape; at 200,000 x 3 a block is one column
+    rng = np.random.default_rng(n)
+    P = np.asfortranarray(rng.normal(size=(n, s)))
+    mean, centers, assign = P.mean(axis=0), P[:10].copy(), rng.integers(0, 10, n)
+    for args in ((P, mean), (P, centers, assign)):
+        tracemalloc.start()
+        try:
+            _sq_dists(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (_BLOCK_SIZE + np.getbufsize() + 4 * n)
 
 
 def test_moving_every_point_gathers_one_block_at_a_time():

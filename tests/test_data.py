@@ -256,11 +256,10 @@ class TestParseLibsvm:
         assert peak < len(raw)
 
     @pytest.mark.parametrize("form", ["str", "bytes", "text file object"])
-    @pytest.mark.parametrize("end", ["\r", "\x1e"], ids=["CR", "RS"])
-    def test_peak_memory_stays_below_the_length_whatever_single_byte_break_ends_the_lines(
-            self, end, form, tmp_path):
-        # blocks are cut after any single-byte line break, not only after
-        # "\n", so such a text is not converted as one block; the file is
+    @pytest.mark.parametrize("end", ["\r", "\x1e", "\x85", "\u2028"], ids=["CR", "RS", "NEL", "LS"])
+    def test_peak_memory_stays_below_the_length_whatever_break_ends_the_lines(self, end, form, tmp_path):
+        # blocks are cut after any line break of str.splitlines, not only
+        # after "\n", so such a text is not converted as one block; the file is
         # opened with newline="" so that its CRs reach the reader untranslated
         rng = np.random.default_rng(8)
         text = to_libsvm(Dataset(rng.normal(size=(10_000, 16)), rng.integers(0, 10, 10_000))).replace("\n", end)
@@ -477,11 +476,12 @@ class TestParseFilesByBlocks:
         assert np.array_equal(ds.labels, labels)
 
     @pytest.mark.parametrize("block_chars", range(1, 13))
-    def test_blocks_end_at_single_byte_breaks_and_keep_each_crlf_whole(self, block_chars, monkeypatch):
-        # bare CRs and CRLFs fall on every block edge; \x85 (U+0085 is
-        # b"\xc2\x85") and U+2028 end lines too, but are no cuts
+    def test_blocks_end_at_line_breaks_and_keep_each_crlf_whole(self, block_chars, monkeypatch):
+        # bare CRs and CRLFs fall on every block edge; bytes are cut after
+        # \x85, U+2028 and U+2029 only at their whole UTF-8 sequences
+        # (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9"), never inside one
         monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
-        text = "1 1:1\r\n2 1:2\r3 1:3\r\r\n4 1:4\x1e5 1:5\x0b\r\n6 1:6\x857 1:7\u20288 1:8\r"
+        text = "1 1:1\r\n2 1:2\r3 1:3\r\r\n4 1:4\x1e5 1:5\x0b\r\n6 1:6\x857 1:7\u20288 1:8\u20299 1:9\r"
         raw = text.encode()
         sources = {"str": (text, text), "bytes file object": (io.BytesIO(raw), raw),
                    "text file object": (io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), text)}
@@ -500,17 +500,18 @@ class TestParseFilesByBlocks:
 
 def cut_after_breaks(text, block_chars: int) -> list:
     """text (str or bytes) in the blocks parse_libsvm reads: each ends just
-    after the first single-byte line break at least block_chars in, where a
-    CRLF is one break."""
-    breaks, crlf = "\n\r\x0b\x0c\x1c\x1d\x1e", "\r\n"
+    after the first line break that starts at least block_chars in, where a
+    CRLF is one break and, in bytes, \\x85, U+2028 and U+2029 are their
+    whole UTF-8 sequences."""
+    breaks = ["\r\n", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
     if isinstance(text, bytes):
-        breaks, crlf = breaks.encode(), crlf.encode()
+        breaks = [end.encode() for end in breaks]
     blocks, start = [], 0
     while start < len(text):
         end = start + block_chars
-        while end < len(text) and text[end:end + 1] not in breaks:
+        while end < len(text) and not any(text.startswith(b, end) for b in breaks):
             end += 1
-        end += 1 + (text[end:end + 2] == crlf)
+        end += next((len(b) for b in breaks if text.startswith(b, end)), 0)
         blocks.append(text[start:end])
         start = end
     return blocks
