@@ -4,6 +4,9 @@ The LIBSVM format is line oriented: ``<label> <index>:<value> ...`` with
 1-based, strictly increasing indices per line.  Absent indices are zeros.
 Rows are materialized densely; sparse storage is out of scope here because
 every downstream consumer works on dense feature rows.
+
+The exact decimal significands that the LIBSVM writer and the factor dump
+(icf.dump_factor) format from are computed here too.
 """
 
 from __future__ import annotations
@@ -95,6 +98,8 @@ class Dataset(_ValueType):
                 raise ValueError("labels must be integers")
             if lab.min() < 0:
                 raise ValueError("labels must be non-negative")
+            if lab.max() > _INT64_MAX:
+                raise ValueError(f"label {int(lab.max())} does not fit in int64")
             object.__setattr__(self, "labels", _read_only(lab, np.int64))
 
     @property
@@ -212,15 +217,33 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
 def to_libsvm(dataset: Dataset) -> str:
     """Serialize a Dataset to LIBSVM text (dense: every index written).
 
-    Values use repr, which round-trips float64 exactly, so
-    parse_libsvm(to_libsvm(ds)) reproduces the points bit for bit.  Each row
-    is formatted by one precomputed template, one row at a time.
+    Each value is written as repr writes it: the fewest significant digits
+    that read back to the same float64, nearest the value among those, so
+    parse_libsvm(to_libsvm(ds)) reproduces the points bit for bit.  The rows
+    are formatted a block of about _WRITE_BLOCK values at a time, the digits
+    from exact significands (_shortest); a value whose digits they leave
+    undecided is formatted by repr itself.
     """
     if dataset.labels is None:
         raise ValueError("serialization requires labels")
-    template = "%d " + " ".join(f"{j}:%r" for j in range(1, dataset.d + 1)) + "\n"
-    return "".join(template % (label, *row.tolist())
-                   for label, row in zip(dataset.labels.tolist(), dataset.points))
+    d = dataset.d
+    # a line is d + 1 records, its label's and then " j:" and value j's field
+    # at an even offset, filled a block of lines at a time; "\n" ends the last
+    head = len(f" {d}:")
+    head += head % 2
+    width = head + _FIELD + 2
+    records = "".join([f" {j}:".ljust(width, "\0") for j in range(d + 1)])[:-1] + "\n"
+    pattern = np.frombuffer(records.encode(), np.uint8).reshape(d + 1, width)
+    rows, parts = max(1, _WRITE_BLOCK // d), []
+    for i in range(0, dataset.n, rows):
+        labels, points = dataset.labels[i:i + rows], dataset.points[i:i + rows]
+        rec = np.empty((len(labels), d + 1, width), np.uint8)
+        rec[:] = pattern
+        text = "".join([str(label).ljust(width, "\0") for label in labels.tolist()])
+        rec[:, 0] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
+        _write_shortest(points, rec[:, 1:, head:head + _FIELD])
+        parts.append(rec.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -513,3 +536,215 @@ def _opened(source):
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         return contextlib.nullcontext(source)
     raise TypeError(f"unsupported source type {type(source)!r}")
+
+
+# LIBSVM text is written in blocks of about this many values, so the writer's
+# temporaries stay at about two megabytes whatever the size of the dataset
+_WRITE_BLOCK = 2 ** 13
+
+# a value's field of bytes: 0 the sign, 1-5 "0." and the zeros in front of the
+# digits of a positional value below 1, 6-39 17 slots of a digit and the byte
+# after it ("." or filler), and 40-43 "e", the exponent's sign and two digits.
+# Filler bytes (\0) are deleted from the text.  repr's text, at most 24
+# characters, fills a field from its start
+_FIELD = 44
+
+# the slots as little-endian uint16, digit low: row 18 k + j + 1 of _KEEP
+# keeps the first k digits, and of _POINT puts "." after digit j (none at -1)
+_KEEP = np.where(np.arange(17) < np.arange(18 * 18)[:, None] // 18, 0xFF, 0).astype("<u2")
+_POINT = np.where(np.arange(17) == np.arange(18 * 18)[:, None] % 18 - 1, ord(".") << 8, 0).astype("<u2")
+_LEAD = np.frombuffer(b"".join(b"0.000"[:k].ljust(5, b"\0") for k in range(6)), np.uint8).reshape(6, 5)
+_EXPONENT = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-27, 18)), np.uint8).reshape(45, 4)
+
+# 10 ** k exactly as int64, for k <= 18
+_INT10 = 10 ** np.arange(19, dtype=np.int64)
+
+# 18-digit groups are written from these tables of ASCII digit pairs and quads
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
+
+# the exact path covers 1e-27 <= |v| < 1e17, where the decimal exponent E is
+# in [-27, 16] and the significand round(|v| 10^(17 - E)) needs 10^k for k up
+# to 44, taken as 10^(k - 22) times 10^22: the Dekker products read only the
+# entries k <= 22, which are exact; _shortest reads the others, rounded, to
+# size a gap
+_POW10 = 10.0 ** np.arange(45)
+_SPLITTER = 2.0 ** 27 + 1
+
+
+def _write_shortest(v: np.ndarray, fields: np.ndarray) -> None:
+    """Write each value of v, as repr writes it, into its field of filler
+    (_FIELD bytes on the last axis of fields).
+
+    repr lays the digits out positionally when the decimal point's position
+    P (the value is 0.ddd x 10^P) lies in (-4, 16], and as d.ddde+XX
+    otherwise.
+    """
+    mag = np.abs(v).ravel()
+    digits, nd, e, fast = _shortest(mag)
+    point = e + 1
+    positional = (point > -4) & (point <= 16)
+    shown = np.where(positional, np.maximum(nd, point + 1), nd)
+    dot = np.where(positional, np.maximum(point - 1, -1), np.where(nd > 1, 0, -1))
+    ascii_digits = np.empty((mag.size, 20), np.uint8)
+    _digits(digits, ascii_digits, 0)
+    row = 18 * shown + dot + 1
+    slots = ascii_digits[:, :17].astype("<u2")
+    slots &= np.take(_KEEP, row, axis=0)
+    slots |= np.take(_POINT, row, axis=0)
+    fields[..., 6:40].view("<u2")[...] = slots.reshape(*v.shape, 17)
+    lead = np.where(positional & (point <= 0), 2 - point, 0)
+    fields[..., 1:6] = np.take(_LEAD, lead, axis=0).reshape(*v.shape, 5)
+    fields[..., 0][np.signbit(v)] = ord("-")
+    exponential = ~positional.reshape(v.shape)
+    fields[exponential, 40:] = _EXPONENT[e.reshape(v.shape)[exponential] + 27]
+    slow = ~fast.reshape(v.shape)
+    text = "".join([repr(x).ljust(_FIELD, "\0") for x in v[slow].tolist()])
+    fields[slow] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _FIELD)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D, nd, E, fast): for each x >= 0 in fast, repr's nd <= 17 digits are
+    the first nd of the 18 of D, and its first digit stands for 10^E.
+
+    From the exact 18-digit significand M of x (_decimal), x 10^(17 - E)
+    lies within 1/2 of M, and the points halfway to the neighbouring doubles
+    lie W = spacing(x) / 2 10^(17 - E) away in those units, and W/2 below a
+    power of two.  M rounded to p digits is c; c reads back as x when
+    |c - M| + 1/2 < W on both sides, and never when |c - M| - 1/2 > W on
+    both.  Both tests keep a margin for the rounding of W.  Reading back is
+    monotone in p, so nd is the last p, from 17 down, that reads back; 17
+    digits always do, and are rounded from x itself where M's last digit is
+    5.  A value with a step neither test decides, or with a dropped-digit
+    tie that could read back, is not in fast; nor is a nonzero value outside
+    [1e-27, 1e17).  A zero is D = 0 with nd = 1.
+    """
+    m = np.zeros(x.size, np.int64)
+    e = np.zeros(x.size, np.int64)
+    exact = (x >= 1e-27) & (x < 1e17)
+    at = np.flatnonzero(exact)
+    m[at], e[at] = _decimal(x[at])
+    w = np.spacing(x[at]) * _POW10[17 - e[at]]
+    below = np.where(x[at].view(np.int64) & ((1 << 52) - 1), 0.5, 0.25)
+    lo, hi = below * (1.0 - 2.0 ** -40) * w, 0.5 * (1.0 + 2.0 ** -40) * w
+    nd = np.ones(x.size, np.int64)
+    nd[at] = 17
+    undecided = np.zeros(x.size, bool)
+    m_at = m[at]
+    for k in range(2, 18):
+        # the step p = 18 - k drops the last k digits of M
+        r = m_at % _INT10[k]
+        dist = np.minimum(r, _INT10[k] - r)
+        reads = (dist + 0.5 < lo) & (r != _INT10[k] // 2)
+        undecided[at[~reads & (dist - 0.5 <= hi)]] = True
+        at, m_at, lo, hi = at[reads], m_at[reads], lo[reads], hi[reads]
+        if not at.size:
+            break
+        nd[at] = 18 - k
+    unit = _INT10[18 - nd]
+    q, r = np.divmod(m, unit)
+    c = q + (r > unit // 2)
+    five = np.flatnonzero(exact & (nd == 17) & (r == 5))
+    c[five] = _significands(x[five], 16 - e[five])
+    digits = c * unit
+    # rounded up to 10^p: one digit, one place up
+    carry = digits == 10 ** 18
+    digits[carry], nd[carry] = 10 ** 17, 1
+    e[carry] += 1
+    return digits, nd, e, (exact & ~undecided) | (x == 0.0)
+
+
+def _digits(m: np.ndarray, rec: np.ndarray, at: int) -> None:
+    """Write each m < 10^18 as 18 ASCII digits into its row of rec, at
+    columns at to at + 17; at and rec's width are multiples of 4."""
+    # mode="clip" lets np.take write straight into a strided column instead
+    # of through a buffer
+    quads, pairs = rec.view(np.uint32), rec.view(np.uint16)
+    q = m // 100
+    np.take(_PAIRS, m - 100 * q, out=pairs[:, at // 2 + 8], mode="clip")
+    for col, part in ((at // 4, q // 10 ** 8), (at // 4 + 2, q % 10 ** 8)):
+        high = part // 10 ** 4
+        np.take(_QUADS, high, out=quads[:, col], mode="clip")
+        np.take(_QUADS, part - 10 ** 4 * high, out=quads[:, col + 1], mode="clip")
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, E) with x ~ M 10^(E - 17) as "%.17e" rounds it, for 1e-27 <= x < 1e17.
+
+    E starts from np.log10, which can miss by one next to a power of ten,
+    and the exact significand shows the miss: M >= 10^18 means E is one too
+    low, M < 10^17 one too high.  M = 10^17 can also be x 10^(17 - E) rounded
+    up from below 10^17, as for 1e-14, which lies below 10^-14 and prints as
+    9.99999999999999999e-15; so E is tried one lower there too, and kept
+    where the significand stays below 10^18.
+    """
+    e = np.clip(np.floor(np.log10(x)), -27, 16).astype(np.int64)
+    m = _significands(x, 17 - e)
+    for shift, moved in ((1, m >= 10 ** 18), (-1, m <= 10 ** 17)):
+        i = np.flatnonzero(moved)
+        if i.size:
+            m_i = _significands(x[i], 17 - e[i] - shift)
+            keep = m_i < 10 ** 18
+            m[i[keep]], e[i[keep]] = m_i[keep], e[i[keep]] + shift
+    return m, e
+
+
+def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round_half_even(x 10^k) for 0 <= k <= 44 where that is in [1e16, 2^63), exactly.
+
+    x 10^k is h + l2 for the Dekker product (h, l2) = x 10^k when k <= 22.
+    For k > 22 it is h + l2 + h3 + l3 for three: (h1, l1) = x 10^(k - 22),
+    (h, l2) = h1 10^22 and (h3, l3) = l1 10^22.  h is at least 2^53, so an
+    even integer, and the result is h + round_half_even(T) for the tail T.
+    T is summed exactly into the nonoverlapping expansion g0 + g1 + g2
+    (Knuth's two-sum grown as in Shewchuk 1997), whose lower part g0 + g1
+    lies below both 2^-40 and the lowest bit of g2.  So with r = rint(g2) and
+    d = g2 - r, exact in [-1/2, 1/2], the sign of T - r - c for c = +-1/2 is
+    the sign of d - c, or where d = c that of g1, or where g1 = 0 of g0.
+    """
+    far = np.flatnonzero(k > 22)
+    h1, l1 = _two_product(x[far], k[far] - 22, _POW10_PARTS)
+    x = x.copy()
+    x[far] = h1
+    h, g2 = _two_product(x, np.minimum(k, 22), _POW10_PARTS)
+    g1, g0 = np.zeros_like(g2), np.zeros_like(g2)
+    h3, l3 = _two_product(l1, 22, _POW10_PARTS)
+    q, g0_far = _two_sum(h3, g2[far])
+    q2, g0[far] = _two_sum(l3, g0_far)
+    g2[far], g1[far] = _two_sum(q2, q)
+    r = np.rint(g2)
+    d = g2 - r
+    lower = np.where(g1 != 0.0, g1, g0)
+    above = np.where(d != 0.5, d - 0.5, lower)
+    below = np.where(d != -0.5, d + 0.5, lower)
+    odd = (r.astype(np.int64) & 1).astype(bool)
+    up = (above > 0.0) | ((above == 0.0) & odd)
+    down = (below < 0.0) | ((below == 0.0) & odd)
+    return h.astype(np.int64) + r.astype(np.int64) + up - down
+
+
+def _two_product(a: np.ndarray, k: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(h, l) with h = fl(a b) and h + l = a b exactly (Dekker 1971), for b =
+    table[0][k], split in advance into table[1][k] + table[2][k]."""
+    b, b_hi, b_lo = table
+    h = a * b[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = b_hi[k], b_lo[k]
+    return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into two halves of at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+_POW10_PARTS = (_POW10, *_split(_POW10))

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _read_only, _ValueType
+from .data import (_PAIRS, Dataset, _decimal, _digits, _read_only, _significands, _split, _two_product,
+                   _ValueType)
 from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative, by an amount that
@@ -267,14 +268,6 @@ _DUMP_BLOCK = 2 ** 13
 # filler byte is deleted from the text.  A value written by "%.17e" itself
 # (at most 25 characters) fills the record from its start.
 _RECORD = np.frombuffer(b"\0\0\0\0" + b"0" * 18 + b"e+00 \0", np.uint8)
-_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
-_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
-
-# the exact path covers 1e-27 <= |v| < 1e17, where the decimal exponent E is
-# in [-27, 16] and the significand round(|v| 10^(17 - E)) needs 10^k for k up
-# to 44, taken as 10^(k - 22) times 10^22; every 10^k with k <= 22 is a double
-_POW10 = 10.0 ** np.arange(23)
-_SPLITTER = 2.0 ** 27 + 1
 
 
 def _format_rows(a: np.ndarray) -> str:
@@ -299,16 +292,8 @@ def _format_rows(a: np.ndarray) -> str:
     rec[s - 1::s, 26] = ord("\n")
     rec[np.signbit(v), 2] = ord("-")
     rec[e < 0, 23] = ord("-")
-    # digit groups from the tables; mode="clip" lets np.take write straight
-    # into a strided column instead of through a buffer
-    quads, pairs = rec.view(np.uint32), rec.view(np.uint16)
-    q = m // 100
-    np.take(_PAIRS, m - 100 * q, out=pairs[:, 10], mode="clip")
-    np.take(_PAIRS, np.abs(e), out=pairs[:, 12], mode="clip")
-    for col, part in ((1, q // 10 ** 8), (3, q % 10 ** 8)):
-        high = part // 10 ** 4
-        np.take(_QUADS, high, out=quads[:, col], mode="clip")
-        np.take(_QUADS, part - 10 ** 4 * high, out=quads[:, col + 1], mode="clip")
+    _digits(m, rec, 4)
+    np.take(_PAIRS, np.abs(e), out=rec.view(np.uint16)[:, 12], mode="clip")
     rec[:, 3] = rec[:, 4]
     rec[:, 4] = ord(".")
     other = np.flatnonzero(~in_range & (mag != 0.0))
@@ -316,88 +301,6 @@ def _format_rows(a: np.ndarray) -> str:
         text = "".join([("%.17e" % x).ljust(26, "\0") for x in v[other].tolist()])
         rec[other, :26] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 26)
     return rec.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, E) with x ~ M 10^(E - 17) as "%.17e" rounds it, for 1e-27 <= x < 1e17.
-
-    E starts from np.log10, which can miss by one next to a power of ten,
-    and the exact significand shows the miss: M >= 10^18 means E is one too
-    low, M < 10^17 one too high.  M = 10^17 can also be x 10^(17 - E) rounded
-    up from below 10^17, as for 1e-14, which lies below 10^-14 and prints as
-    9.99999999999999999e-15; so E is tried one lower there too, and kept
-    where the significand stays below 10^18.
-    """
-    e = np.clip(np.floor(np.log10(x)), -27, 16).astype(np.int64)
-    m = _significands(x, 17 - e)
-    for shift, moved in ((1, m >= 10 ** 18), (-1, m <= 10 ** 17)):
-        i = np.flatnonzero(moved)
-        if i.size:
-            m_i = _significands(x[i], 17 - e[i] - shift)
-            keep = m_i < 10 ** 18
-            m[i[keep]], e[i[keep]] = m_i[keep], e[i[keep]] + shift
-    return m, e
-
-
-def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """round_half_even(x 10^k) for 0 <= k <= 44 where that is in [1e16, 2^63), exactly.
-
-    x 10^k is h + l2 for the Dekker product (h, l2) = x 10^k when k <= 22.
-    For k > 22 it is h + l2 + h3 + l3 for three: (h1, l1) = x 10^(k - 22),
-    (h, l2) = h1 10^22 and (h3, l3) = l1 10^22.  h is at least 2^53, so an
-    even integer, and the result is h + round_half_even(T) for the tail T.
-    T is summed exactly into the nonoverlapping expansion g0 + g1 + g2
-    (Knuth's two-sum grown as in Shewchuk 1997), whose lower part g0 + g1
-    lies below both 2^-40 and the lowest bit of g2.  So with r = rint(g2) and
-    d = g2 - r, exact in [-1/2, 1/2], the sign of T - r - c for c = +-1/2 is
-    the sign of d - c, or where d = c that of g1, or where g1 = 0 of g0.
-    """
-    far = np.flatnonzero(k > 22)
-    h1, l1 = _two_product(x[far], k[far] - 22, _POW10_PARTS)
-    x = x.copy()
-    x[far] = h1
-    h, g2 = _two_product(x, np.minimum(k, 22), _POW10_PARTS)
-    g1, g0 = np.zeros_like(g2), np.zeros_like(g2)
-    h3, l3 = _two_product(l1, 22, _POW10_PARTS)
-    q, g0_far = _two_sum(h3, g2[far])
-    q2, g0[far] = _two_sum(l3, g0_far)
-    g2[far], g1[far] = _two_sum(q2, q)
-    r = np.rint(g2)
-    d = g2 - r
-    lower = np.where(g1 != 0.0, g1, g0)
-    above = np.where(d != 0.5, d - 0.5, lower)
-    below = np.where(d != -0.5, d + 0.5, lower)
-    odd = (r.astype(np.int64) & 1).astype(bool)
-    up = (above > 0.0) | ((above == 0.0) & odd)
-    down = (below < 0.0) | ((below == 0.0) & odd)
-    return h.astype(np.int64) + r.astype(np.int64) + up - down
-
-
-def _two_product(a: np.ndarray, k: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(h, l) with h = fl(a b) and h + l = a b exactly (Dekker 1971), for b =
-    table[0][k], split in advance into table[1][k] + table[2][k]."""
-    b, b_hi, b_lo = table
-    h = a * b[k]
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = b_hi[k], b_lo[k]
-    return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of a into two halves of at most 26 significant bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-_POW10_PARTS = (_POW10, *_split(_POW10))
 
 
 def _inverse_powers() -> tuple:

@@ -402,14 +402,19 @@ class TestErrorPaths:
 
 
 class TestModuleEntryPoint:
-    def test_cluster_leaves_numpy_ma_unimported(self):
-        # np.unique imports numpy.ma, about half of a fresh interpreter's first cluster call
-        code = ("import sys, icfcluster.cli; icfcluster.cli.main(['cluster', 'synth:ring:16:0.05:0', "
+    def test_cluster_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma, about half of a fresh interpreter's first
+        # cluster call; the writers' exact digits take neither decimal nor
+        # fractions, so neither the import nor a written synth file loads them
+        code = ("import sys, icfcluster.cli; "
+                "imported = [m in sys.modules for m in ('decimal', 'fractions')]; "
+                "icfcluster.cli.main(['cluster', 'synth:ring:16:0.05:0', "
                 "'--sigma', '16', '--subset-size', '4', '--clusters', '2']); "
-                "print('numpy.ma' in sys.modules)")
+                f"icfcluster.cli.main(['synth', 'ring', '50', '0.1', '0', {str(tmp_path / 'ring.libsvm')!r}]); "
+                "print(imported + [m in sys.modules for m in ('numpy.ma', 'decimal', 'fractions')])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == str([False] * 5)
 
     def test_runs_as_python_module(self, tmp_path):
         out = tmp_path / "ring.libsvm"

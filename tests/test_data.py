@@ -66,6 +66,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(pts, np.array([-1, 0]))  # negative
 
+    def test_rejects_uint64_labels_beyond_int64(self):
+        # cast to int64 they would wrap to negative labels, which the text
+        # written from them could not be read back with
+        with pytest.raises(ValueError, match="label 18446744073709551615 does not fit in int64"):
+            Dataset(np.ones((2, 1)), np.array([2**63, 2**64 - 1], dtype=np.uint64))
+        with pytest.raises(ValueError, match="label 9223372036854775808 "):
+            Dataset(np.ones((1, 1)), np.array([2**63], dtype=np.uint64))
+
     @pytest.mark.parametrize("clone", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy, copy.copy])
     def test_pickle_and_deepcopy_keep_the_arrays_frozen(self, clone):
         ds = Dataset(np.random.default_rng(3).normal(size=(6, 2)), np.arange(6) % 3, name="toy")
@@ -730,6 +738,59 @@ class TestToLibsvm:
                 again = parse_libsvm(to_libsvm(ds))
                 assert np.array_equal(bits(again.points), bits(ds.points))
                 assert np.array_equal(again.labels, ds.labels)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_the_largest_label_round_trips(self, dtype):
+        ds = Dataset(np.ones((2, 1)), np.array([2**63 - 1, 0], dtype=dtype))
+        text = to_libsvm(ds)
+        assert text == "9223372036854775807 1:1.0\n0 1:1.0\n"
+        assert parse_libsvm(text).labels.tolist() == [2**63 - 1, 0]
+
+    def test_blocks_of_mixed_values_are_written_as_repr(self):
+        # about 2**17 values over 16 blocks: every layout repr has, the exact
+        # digits' ties and near-misses, and the values repr itself formats
+        rng = np.random.default_rng(29)
+        size = 2**14
+        tens = 10.0 ** rng.integers(-30, 20, size)
+        with np.errstate(over="ignore"):
+            values = np.concatenate([
+                rng.normal(size=2 * size),
+                rng.normal(size=size) * 10.0 ** rng.integers(-330, 309, size),
+                rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64),
+                np.round(rng.normal(size=size) * 10.0 ** rng.integers(-3, 7, size), 3),
+                rng.integers(-2**53, 2**53, size) / 10.0 ** rng.integers(0, 20, size),
+                np.ldexp(1.0, rng.integers(-1074, 1024, size)),
+                tens,
+                np.nextafter(tens, rng.choice([0.0, np.inf], size)),
+            ])
+        values = values[np.isfinite(values)]
+        values = rng.permutation(values)[:len(values) // 16 * 16]
+        ds = Dataset(values.reshape(-1, 16), np.arange(len(values) // 16))
+        text = to_libsvm(ds)
+        assert [token.split(":")[1] for line in text.splitlines() for token in line.split()[1:]] == \
+            [repr(v) for v in values.tolist()]
+        assert text.splitlines()[1234].startswith("1234 1:")
+
+    def test_peak_memory_is_no_higher_than_the_one_template_writer(self):
+        # the writer's blocks are freed as it goes, so beside the text it holds
+        # no more than a writer of one line at a time
+        def one_template(dataset):
+            template = "%d " + " ".join(f"{j}:%r" for j in range(1, dataset.d + 1)) + "\n"
+            return "".join(template % (label, *row.tolist())
+                           for label, row in zip(dataset.labels.tolist(), dataset.points))
+
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.normal(size=(10_000, 16)), rng.integers(0, 10, 10_000))
+        peaks = []
+        for write in (one_template, to_libsvm):
+            tracemalloc.start()
+            try:
+                text = write(ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del text
+        assert peaks[1] <= peaks[0]
 
     def test_text_is_pinned(self):
         # a formatter that still round-trips but writes other bytes fails here

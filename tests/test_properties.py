@@ -1,16 +1,18 @@
 """Property tests for the k-means++ seeding, the Lloyd loop, the dense
-LIBSVM fast path, LIBSVM line numbers, the incomplete Cholesky factor, its
-text dump and the reader's exact path, and the command line, on drawn inputs.
+LIBSVM fast path, LIBSVM line numbers, the LIBSVM writer, the incomplete
+Cholesky factor, its text dump and the reader's exact path, and the command
+line, on drawn inputs.
 
 Cluster inputs are drawn with duplicated rows, offsets far from the origin
 and scales from 1e-8 to 1e8; LIBSVM blocks are dense with near-miss tokens
 mixed in, and LIBSVM texts end their lines with every str.splitlines break
-and hold at most one faulty line; factor inputs span several panel blocks
-and reach rank exhaustion; dumped values are any finite float64, from raw
-bit patterns and from every decimal magnitude, and dumps to read carry
-near-miss records; command lines carry NaN, infinite, negative, zero and
-huge numbers.  The runs are derandomized and keep no example database, so
-every run checks the same examples.
+and hold at most one faulty line; datasets to write hold values of every
+class the writer treats apart and labels up to 2**63 - 1; factor inputs
+span several panel blocks and reach rank exhaustion; dumped values are any
+finite float64, from raw bit patterns and from every decimal magnitude, and
+dumps to read carry near-miss records; command lines carry NaN, infinite,
+negative, zero and huge numbers.  The runs are derandomized and keep no
+example database, so every run checks the same examples.
 """
 
 import contextlib
@@ -270,6 +272,66 @@ def test_every_source_names_the_faulty_line_of_splitlines_or_gives_the_same_bits
                 ds = data.parse_libsvm(source)
                 parsed.add((ds.labels.tobytes(), ds.points.shape, ds.points.tobytes()))
     assert len(parsed) == (fault is None)
+
+
+def one_template_libsvm(dataset):
+    """The writer to_libsvm replaced, one %r template per row: the oracle of its bytes."""
+    template = "%d " + " ".join(f"{j}:%r" for j in range(1, dataset.d + 1)) + "\n"
+    return "".join(template % (label, *row.tolist())
+                   for label, row in zip(dataset.labels.tolist(), dataset.points))
+
+
+def _finite(v):
+    """v with each NaN or infinity replaced by the largest double of its sign."""
+    return np.where(np.isfinite(v), v, np.copysign(np.finfo(np.float64).max, v))
+
+
+def _around(rng, centres, size):
+    """Values drawn from centres, each moved 0, 1 or 2 doubles up or down."""
+    v = rng.choice(centres, size)
+    for _ in range(2):
+        v = np.where(rng.random(size) < 0.5, v, np.nextafter(v, v * rng.choice([0.0, np.inf], size)))
+    return v
+
+
+# the writer's value classes, each drawn as a whole array from a generator:
+# any bit pattern; +-m 10^u for u from below the subnormals to the largest
+# double; 10^k and its neighbours; signed zeros; powers of two; integers;
+# values rounded to a few decimals; and the layout edges, where repr turns
+# from positional to exponential text
+LIBSVM_VALUES = {
+    "bits": lambda rng, size: _finite(rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)),
+    "m 10^u": lambda rng, size: _finite(rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 10.0, size)
+                                        * 10.0 ** rng.integers(-330, 309, size)),
+    "10^k": lambda rng, size: _around(rng, 10.0 ** np.arange(-30, 20), size) * rng.choice([-1.0, 1.0], size),
+    "zeros": lambda rng, size: rng.choice([0.0, -0.0], size),
+    "powers of two": lambda rng, size: np.ldexp(rng.choice([-1.0, 1.0], size), rng.integers(-1074, 1024, size)),
+    "integers": lambda rng, size: (rng.integers(-2**53, 2**53, size).astype(np.float64)
+                                   // 10.0 ** rng.integers(0, 16, size)),
+    "rounded": lambda rng, size: np.round(rng.normal(size=size) * 10.0 ** rng.integers(-3, 7), rng.integers(0, 8)),
+    "layout edges": lambda rng, size: _around(rng, np.array([1e-4, 1e-5, 1e16, 1e17]), size)
+                                      * rng.choice([-1.0, 1.0, 0.999999, 1.000001], size),
+}
+
+
+@st.composite
+def writable_datasets(draw):
+    """A Dataset of 1-40 rows and 1-12 columns, its values drawn from one to
+    three of LIBSVM_VALUES and its labels from 0 to 2**63 - 1, all from one
+    seeded generator."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(LIBSVM_VALUES)), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):
+        values = np.concatenate([LIBSVM_VALUES[kind](rng, n * d) for kind in kinds])
+    labels = rng.integers(0, 2**63 - 1, n, endpoint=True) >> rng.integers(0, 64, n)
+    return Dataset(rng.choice(values, (n, d)), labels)
+
+
+@SETTINGS
+@given(writable_datasets())
+def test_to_libsvm_writes_the_bytes_of_the_one_template_writer(ds):
+    assert data.to_libsvm(ds) == one_template_libsvm(ds)
 
 
 @st.composite
