@@ -143,15 +143,14 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
 
     Args:
         source: str, bytes, file-like object, or path to a file.  Bytes, and
-            the bytes of a path or a binary file, are decoded as UTF-8 one
-            block at a time.  A text-mode UTF-8 file decodes inside its own
-            read; on a byte that is not UTF-8 the parse starts again on its
-            bytes, from where it first began, to name the line.  Where they
-            cannot be read again (a pipe, a file already iterated by lines,
-            or a wrapper of another encoding) the error names the first line
-            of the block whose read failed.  Lines, and so line numbers, are
-            those of str.splitlines: a line ends at LF, CRLF, a bare CR, \\x0b,
-            \\x0c, \\x1c-\\x1e, \\x85, \\u2028 or \\u2029.
+            the bytes of a path, a binary file or a strict UTF-8 text-mode
+            file that can tell() its position, are decoded as UTF-8 one block
+            at a time, from that position.  Any other text-mode file (a pipe,
+            a file already iterated by lines, another encoding or errors
+            handler) decodes inside its own read, and a byte it cannot decode
+            is reported at the first line of the block whose read failed.
+            Lines, and so line numbers, are those of str.splitlines, whose
+            breaks are listed above.
         num_features: optional fixed width, at least 1; defaults to the
             largest index seen.
         name: dataset name to attach.
@@ -168,7 +167,6 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
     label_blocks, row_blocks = [], []
     n = max_index = lines_before = 0
     with _opened(source) as text:
-        at = _byte_position(text)
         try:
             for block in _blocks(text):
                 if isinstance(block, bytes):
@@ -192,14 +190,9 @@ def parse_libsvm(source, num_features: int | None = None, name: str = "") -> Dat
                     lines_before += len(lines)
         except UnicodeDecodeError as exc:
             # a text-mode file's own read failed, lines_before lines in
-            if at is None:
-                raise ParseError(lines_before + 1, f"byte {exc.object[exc.start]:#04x} is not {exc.encoding} "
-                                 f"({exc.reason}) on this line or a later one; a file opened in "
-                                 "binary mode gets its line named") from None
-            # parse the same bytes again undecoded, so _decoded names the line
-            del label_blocks, row_blocks
-            text.buffer.seek(at)
-            return parse_libsvm(text.buffer, num_features, name)
+            raise ParseError(lines_before + 1, f"byte {exc.object[exc.start]:#04x} is not {exc.encoding} "
+                             f"({exc.reason}) on this line or a later one; a file opened in "
+                             "binary mode gets its line named") from None
     if not n:
         raise ParseError(0, "no data lines")
     width = num_features or max_index
@@ -353,20 +346,6 @@ def _blocks(text):
                 rest = rest[:0]
         yield block[:0].join(parts)
         block = rest + text.read(_BLOCK_CHARS - len(rest))
-
-
-def _byte_position(text) -> int | None:
-    """The byte offset of the next character of a UTF-8 text-mode file, or
-    None where its bytes cannot be read again from there: a str, any other
-    file object, one that cannot seek (a pipe), or one iterated by lines."""
-    if not isinstance(text, io.TextIOWrapper) or codecs.lookup(text.encoding).name != "utf-8":
-        return None
-    try:
-        at = text.tell()
-    except OSError:
-        return None
-    # a larger cookie also carries decoder state and is no plain offset
-    return at if at < 1 << 64 else None
 
 
 def _decoded(block: bytes, lines_before: int) -> str:
@@ -524,7 +503,9 @@ def _memory_refusal(rows: int, width: int) -> str | None:
 
 def _opened(source):
     """A context giving a str source as it is and any other source as a file
-    object (bytes in a BytesIO); a path's file is closed on exit."""
+    object (bytes in a BytesIO); a path's file is closed on exit, and a strict
+    UTF-8 text-mode file that can tell() a plain byte offset gives its binary
+    buffer from there."""
     if isinstance(source, bytes):
         return contextlib.nullcontext(io.BytesIO(source))
     if isinstance(source, str) and (_BREAKS.search(source) or not os.path.isfile(source)):
@@ -533,6 +514,14 @@ def _opened(source):
         return contextlib.nullcontext(source)
     if isinstance(source, (str, os.PathLike)):
         return open(source, "rb")
+    if (isinstance(source, io.TextIOWrapper) and source.errors == "strict"
+            and codecs.lookup(source.encoding).name == "utf-8"):
+        with contextlib.suppress(OSError):
+            # a cookie of 2**64 or more also carries decoder state; one that
+            # cannot be told (a pipe, a file iterated by lines) raises OSError
+            if (at := source.tell()) < 1 << 64:
+                source.seek(at)  # drops the read-ahead the wrapper decoded
+                return contextlib.nullcontext(source.buffer)
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         return contextlib.nullcontext(source)
     raise TypeError(f"unsupported source type {type(source)!r}")

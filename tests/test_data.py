@@ -709,6 +709,60 @@ class TestUnreadableTextFaults:
             parse_libsvm(3.5)
 
 
+class CountingBytesIO(io.BytesIO):
+    """A BytesIO that counts the bytes its reads return."""
+
+    returned = 0
+
+    def _counted(self, data: bytes) -> bytes:
+        self.returned += len(data)
+        return data
+
+    def read(self, size=-1):
+        return self._counted(super().read(size))
+
+    def read1(self, size=-1):
+        return self._counted(super().read1(size))
+
+    def readline(self, size=-1):
+        return self._counted(super().readline(size))
+
+
+class TestTextFileReadAsBytes:
+    """A strict UTF-8 text-mode file that can tell() is read once, as bytes,
+    from its position."""
+
+    def test_bad_byte_is_read_once(self):
+        text, raw, bad = with_unreadable_byte()
+        buffer = CountingBytesIO(raw)
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(io.TextIOWrapper(buffer, encoding="utf-8"))
+        assert exc.value.line_no == text.count("\n", 0, bad) + 1
+        assert bad < buffer.returned <= len(raw)
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_parse_starts_at_the_position_and_leaves_nothing_to_read(self, lines_read):
+        text = with_unreadable_byte()[0]
+        f = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+        head = "".join(f.readline() for _ in range(lines_read))
+        ds, expected = parse_libsvm(f), parse_libsvm(text[len(head):])
+        assert np.array_equal(bits(ds.points), bits(expected.points))
+        assert np.array_equal(ds.labels, expected.labels)
+        assert f.read() == ""
+
+    @pytest.mark.parametrize("options, message", [
+        ({"encoding": "utf-8", "errors": "replace"}, "line 2: invalid label '�'"),
+        ({"encoding": "utf-8", "errors": "ignore"}, "line 2: invalid label '1:1'"),
+        ({"encoding": "latin-1"}, "line 2: invalid label 'ÿ'"),
+        ({"encoding": "utf-8-sig"}, unreadable_again(1, "utf-8", "invalid start byte")),
+    ])
+    def test_wrapper_that_decodes_for_itself(self, options, message):
+        # only a strict UTF-8 wrapper hands over its bytes; these keep their own decoding
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(io.TextIOWrapper(io.BytesIO(b"1 1:1\n\xff 1:1\n"), **options))
+        assert str(exc.value) == message
+
+
 class TestToLibsvm:
     def test_round_trip_is_bit_identical(self):
         rng = np.random.default_rng(5)

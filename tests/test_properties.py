@@ -371,25 +371,47 @@ def test_a_smaller_rank_is_a_prefix_of_a_larger_one(case):
         assert small.residual_diag.tobytes() == large.residual_diag.tobytes()
 
 
-# any finite float64: a raw bit pattern; +-m 10^u with m in [1, 10) and u
-# from below the subnormals to above the largest double; or, where the
-# writer computes the decimal exponent (1e-27 to 1e17), 10^u or a neighbour
-finite_floats = st.one_of(
-    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
-    st.builds(lambda sign, m, u: float(f"{sign}{m!r}e{u}"), st.sampled_from("+-"),
-              st.floats(1.0, 10.0, exclude_max=True), st.integers(-330, 309)),
-    st.builds(lambda u, toward: math.nextafter(float(f"1e{u}"), float(f"1e{u}") * toward),
-              st.integers(-28, 17), st.sampled_from([0.0, 1.0, math.inf])),
-).filter(math.isfinite)
+def _scaled(exponents):
+    """A drawer of +-m 10^u, m uniform in [1, 10) and u from exponents; a
+    value past the largest double is that double."""
+    return lambda rng, size: _finite(rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 10.0, size)
+                                     * 10.0 ** rng.choice(exponents, size))
+
+
+# what a dump may hold, each class drawn as a whole array from a generator:
+# values the writer takes exactly, zero or 1e-27 to 1e17 in magnitude, where
+# most of a factor's lie; values outside that range whose records keep its
+# layout, a two-digit exponent, so the reader takes them one by one; values
+# with three-digit exponents; and any finite float64 (FINITE): a raw bit
+# pattern, +-m 10^u from below the subnormals to the largest double, or 10^k
+# and its neighbours
+FINITE = ("bits", "m 10^u", "10^k")
+EXACT = ("zeros", "exact")
+DUMP_VALUES = {
+    "zeros": LIBSVM_VALUES["zeros"],
+    "exact": _scaled(np.arange(-27, 17)),
+    "off range": _scaled(np.r_[-99:-27, 17:100]),
+    "three-digit exponents": _scaled(np.r_[-330:-99, 100:309]),
+    **{kind: LIBSVM_VALUES[kind] for kind in FINITE},
+}
+
+
+def dump_values(rng, kinds, size):
+    """size values, each of one of the DUMP_VALUES classes kinds, picked at random."""
+    with np.errstate(over="ignore"):
+        pools = np.stack([DUMP_VALUES[kind](rng, size) for kind in kinds])
+    return pools[rng.integers(len(kinds), size=size), np.arange(size)]
 
 
 @st.composite
 def dumpable_factors(draw):
-    """An IcfFactor of 1-12 rows and 0-6 columns holding drawn finite values."""
+    """An IcfFactor of 1-12 rows and 0-6 columns holding finite values drawn
+    from one seeded generator."""
     n = draw(st.integers(1, 12))
     s = draw(st.integers(0, min(n, 6)))
-    P = np.array(draw(st.lists(finite_floats, min_size=n * s, max_size=n * s))).reshape(n, s)
-    history = draw(st.lists(finite_floats, min_size=s + 1, max_size=s + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = dump_values(rng, FINITE, n * s).reshape(n, s)
+    history = dump_values(rng, FINITE, s + 1)
     pivots = draw(st.permutations(range(n)))[:s]
     return IcfFactor(P, pivots, np.zeros(n), history, n * (s + 1))
 
@@ -442,26 +464,6 @@ def near_midpoints(k=25, js=range(-20, 21)):
 
 NEAR_MIDPOINTS = near_midpoints()
 
-# what a dump may hold: values the writer takes exactly, zero or 1e-27 to
-# 1e17 in magnitude, where most of a factor's lie; values outside that range
-# whose records keep its layout, a two-digit exponent, so the reader takes
-# them one by one; and raw bit patterns, 10^k and its neighbours, and values
-# with three-digit exponents
-def scaled(exponents):
-    return st.builds(lambda sign, m, u: float(f"{sign}{m!r}e{u}"), st.sampled_from("+-"),
-                     st.floats(1.0, 10.0, exclude_max=True), exponents)
-
-
-exact_values = st.one_of(st.sampled_from([0.0, -0.0]), scaled(st.integers(-27, 16)))
-off_range_values = scaled(st.one_of(st.integers(-99, -28), st.integers(17, 99)))
-dump_values = st.one_of(
-    exact_values,
-    off_range_values,
-    finite_floats,
-    scaled(st.one_of(st.integers(-330, -100), st.integers(100, 308))),
-).filter(math.isfinite)
-
-
 # faults on one value of P: a sign, a letter, an exponent or a significand
 # that the writer would not write, a separator other than one space, a row
 # one value short or long, or a value halfway between two doubles or within
@@ -477,13 +479,13 @@ def faulty_dumps(draw):
     n = draw(st.integers(1, 12))
     s = draw(st.integers(0, min(n, 6)))
     block = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # most dumps hold only two-digit exponents, so that a fault often falls
     # in a block the exact reader would otherwise take
-    values = draw(st.sampled_from([exact_values, exact_values, st.one_of(exact_values, off_range_values),
-                                   dump_values]))
-    P = np.array(draw(st.lists(values, min_size=n * s, max_size=n * s))).reshape(n, s)
+    kinds = draw(st.sampled_from([EXACT, EXACT, (*EXACT, "off range"), tuple(DUMP_VALUES)]))
+    P = dump_values(rng, kinds, n * s).reshape(n, s)
     factor = IcfFactor(P, draw(st.permutations(range(n)))[:s], np.zeros(n),
-                       draw(st.lists(dump_values, min_size=s + 1, max_size=s + 1)), 0)
+                       dump_values(rng, tuple(DUMP_VALUES), s + 1), 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(icf, "_DUMP_BLOCK", block)
         lines = dump_factor(factor).split("\n")
