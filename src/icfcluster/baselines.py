@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cluster import MAX_ITER, ClusterModel, _clamped_eigh, lloyd
-from .data import Dataset, _rng
+from .data import Dataset, _memory_refusal, _rng
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_columns, kernel_diag
 
 
@@ -91,6 +91,8 @@ def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: i
         raise ValueError("random Fourier features require the gaussian family")
     if num_features < 2 or num_features % 2 != 0:
         raise ValueError(f"num_features must be even and >= 2, got {num_features}")
+    if refusal := _memory_refusal(dataset.n, num_features, "feature matrix"):
+        raise ValueError(f"num_features={num_features} {refusal}")
     rng = _rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         freqs = rng.normal(0.0, np.sqrt(2.0 * spec.sigma), size=(dataset.d, num_features // 2))
@@ -126,6 +128,8 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
     """
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
+    if refusal := _memory_refusal(dataset.n, subset_size, "block of Gram columns"):
+        raise ValueError(f"subset_size={subset_size} {refusal}")
     B = np.sort(_rng(seed).choice(dataset.n, size=subset_size, replace=False))
     K_MB = kernel_columns(spec, dataset, B)
     w, U = _clamped_eigh(K_MB[B], "sampled kernel block")

@@ -14,8 +14,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .cluster import MAX_ITER, lloyd
 from .data import gen_synthetic, parse_libsvm, standardize, to_libsvm
 from .evaluate import BenchmarkConfig, accuracy, run_benchmark
@@ -96,11 +94,17 @@ def cmd_bench(args) -> int:
         skipped = len(rows) - len(done)
         accs = [r.accuracy for r in done if r.accuracy is not None]
         times = [r.total_ms for r in done if r.total_ms is not None]
-        acc_s = f"{float(np.median(accs)):.4f}" if accs else "n/a"
-        time_s = f"{float(np.median(times)):.1f}" if times else "n/a"
+        acc_s = f"{_median(accs):.4f}" if accs else "n/a"
+        time_s = f"{_median(times):.1f}" if times else "n/a"
         print(f"algorithm={algorithm} rows={len(rows)} skipped={skipped} "
               f"median_accuracy={acc_s} median_total_ms={time_s}")
     return 0
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a list, which would load numpy.ma: the mean of its one or two middle values."""
+    v = sorted(values)
+    return (v[(len(v) - 1) // 2] + v[len(v) // 2]) / 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

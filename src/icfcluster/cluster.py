@@ -15,12 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, _read_only, _rng, _ValueType
-from .icf import EPSILON, icf_factorize
+from .icf import EPSILON, RANK_TOL, icf_factorize
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
-
-# relative spectral cutoff: eigenvalues below this times the largest are
-# treated as zero when embedding a PSD matrix
-EIG_CLAMP = 1e-12
 
 # Lloyd stops after an iteration that lowers its objective by at most this
 # fraction of it, and by default after MAX_ITER iterations
@@ -95,7 +91,8 @@ def kmeans_pp_init(points: np.ndarray, k: int, seed: int, *, prepared: tuple | N
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
-            idx = int(rng.choice(np.setdiff1d(np.arange(n), chosen)))
+            unchosen = np.bincount(chosen, minlength=n) == 0
+            idx = int(rng.choice(np.flatnonzero(unchosen)))
         chosen.append(idx)
     return points[chosen].copy()
 
@@ -192,7 +189,7 @@ def kernel_kmeans_oracle(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
     """Exact kernel k-means on the full Gram matrix (guarded; for reference).
 
     Embeds points as rows of U sqrt(D) from the eigendecomposition of K, with
-    the eigenpairs at or below EIG_CLAMP times the largest eigenvalue
+    the eigenpairs at or below RANK_TOL times the largest eigenvalue
     dropped, then runs the same Lloyd code as the factored path.
     """
     embed = oracle_embedding(dataset, spec, guard=guard)
@@ -212,13 +209,13 @@ def psd_embedding(K: np.ndarray) -> np.ndarray:
 
 
 def _clamped_eigh(K: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a symmetric matrix without the eigenpairs at or below EIG_CLAMP
+    """eigh of a symmetric matrix without the eigenpairs at or below RANK_TOL
     times the largest eigenvalue, in ascending order.
 
     Raises ValueError, naming the matrix, when no pair is left.
     """
     w, U = np.linalg.eigh(K)
-    first = int(np.searchsorted(w, EIG_CLAMP * max(float(w[-1]), 0.0), side="right"))
+    first = int(np.searchsorted(w, RANK_TOL * max(float(w[-1]), 0.0), side="right"))
     if first == len(w):
         raise ValueError(f"{name} is numerically zero")
     return w[first:], U[:, first:]

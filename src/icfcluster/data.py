@@ -492,13 +492,13 @@ def _label(token: str) -> int:
     return label
 
 
-def _memory_refusal(rows: int, width: int) -> str | None:
-    """None when a dense rows x width float64 point matrix fits in the
-    machine's physical memory; otherwise why it is refused, to follow the
-    name of what asked for it.  The arithmetic is on ints, so any size works."""
+def _memory_refusal(rows: int, width: int, what: str = "point matrix") -> str | None:
+    """None when a dense rows x width float64 matrix fits in the machine's
+    physical memory; otherwise why it is refused, to follow the name and
+    value of what asked for it.  The arithmetic is on ints, so any size works."""
     if rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         return None
-    return f"needs a dense {rows} x {width} point matrix, more than this machine's memory"
+    return f"needs a dense {rows} x {width} {what}, more than this machine's memory"
 
 
 def _opened(source):

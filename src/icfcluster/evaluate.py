@@ -57,21 +57,12 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
         raise ValueError("empty label arrays")
-    pi, ti = _dense_ids(pred), _dense_ids(truth)
+    # dense ids, every NaN its own; return_inverse, unlike plain np.unique, loads no numpy.ma
+    pi, ti = (np.unique(a, return_inverse=True, equal_nan=False)[1] for a in (pred, truth))
     size = max(pi.max(), ti.max()) + 1
     table = np.bincount(pi * size + ti, minlength=size * size).reshape(size, size)
     cols = _max_weight_matching(table)
     return float(table[np.arange(size), cols].sum()) / pred.size
-
-
-def _dense_ids(a: np.ndarray) -> np.ndarray:
-    """Each entry's index among the sorted distinct entries of a, as
-    np.unique(a, return_inverse=True) gives it without importing numpy.ma."""
-    order = np.argsort(a)
-    sorted_a = a[order]
-    ids = np.empty(a.size, np.intp)
-    ids[order] = np.cumsum(np.concatenate(([0], sorted_a[1:] != sorted_a[:-1])))
-    return ids
 
 
 def _max_weight_matching(table: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (_PAIRS, Dataset, _decimal, _digits, _read_only, _significands, _split, _two_product,
-                   _ValueType)
+from .data import (_PAIRS, Dataset, _decimal, _digits, _memory_refusal, _read_only, _significands, _split,
+                   _two_product, _ValueType)
 from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative, by an amount that
@@ -43,8 +43,8 @@ from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 NEGATIVE_TOL = 1e-10
 
 # a pivot whose fresh nu^2 = K[t,t] - u.u falls to this fraction of K[t,t] is
-# rounding noise left over after rank exhaustion, not a real column; matches
-# the relative eigenvalue clamp used by the dense embedding paths
+# rounding noise left over after rank exhaustion, not a real column; the dense
+# embedding paths drop eigenvalues at or below this fraction of the largest
 RANK_TOL = 1e-12
 
 # the default residual-trace threshold: factorization stops once tr(K - P P^T)
@@ -107,7 +107,8 @@ class IcfFactor(_ValueType):
         diag = _read_only(diag, np.float64, copy)
         hist = _read_only(hist, np.float64, copy)
         n, s = P.shape
-        if pivots.shape != (s,) or not _distinct(pivots):
+        # plain np.unique would load numpy.ma, np.unique(..., return_inverse=True) does not
+        if pivots.shape != (s,) or np.unique(pivots, return_inverse=True)[0].size < s:
             raise ValueError("pivots must be s distinct indices")
         if np.any((pivots < 0) | (pivots >= n)):
             raise ValueError(f"pivots must be indices in [0, {n})")
@@ -129,12 +130,6 @@ class IcfFactor(_ValueType):
     def nu(self) -> np.ndarray:
         """Each step's nu = sqrt(K[t, t] - u.u), read from P[pivots[j], j]."""
         return self.P[self.pivots, np.arange(self.s)]
-
-
-def _distinct(a: np.ndarray) -> bool:
-    """Whether the entries of a 1-d array differ; np.unique would import numpy.ma."""
-    a = np.sort(a)
-    return not np.any(a[1:] == a[:-1])
 
 
 def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: float = EPSILON) -> IcfFactor:
@@ -172,6 +167,8 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
         raise ValueError(f"max_rank must be in [1, {n}], got {max_rank}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if refusal := _memory_refusal(max_rank, n, "factor"):
+        raise ValueError(f"max_rank={max_rank} {refusal}")
     diag = kernel_diag(spec, dataset)
     PT = np.empty((max_rank, n))
     pivots = np.empty(max_rank, dtype=np.int64)
@@ -360,7 +357,8 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     history = np.array(_finite_floats(lines[2 + n], "trace history"))
     if pivots.shape != (s,) or history.shape != (s + 1,):
         raise ValueError("dump sections do not match header sizes")
-    if np.any((pivots < 0) | (pivots >= n)) or not _distinct(pivots):
+    # return_inverse=True, as in IcfFactor, so that no numpy.ma is loaded
+    if np.any((pivots < 0) | (pivots >= n)) or np.unique(pivots, return_inverse=True)[0].size < s:
         raise ValueError(f"malformed pivots: expected {s} distinct indices in [0, {n})")
     if any(line.strip() for line in lines[3 + n:]):
         raise ValueError("unexpected data after the trace history")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _memory_refusal
 
 DEFAULT_GUARD = 5000
 
@@ -107,6 +107,8 @@ def full_gram(spec: KernelSpec, dataset: Dataset, guard: int = DEFAULT_GUARD) ->
     n = dataset.n
     if n > guard:
         raise ValueError(f"full Gram matrix refused: n={n} exceeds guard={guard}")
+    if refusal := _memory_refusal(n, n, "Gram matrix"):
+        raise ValueError(f"full Gram matrix refused: n={n} with guard={guard} {refusal}")
     K = np.empty((n, n))
     step = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, n, step):

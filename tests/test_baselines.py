@@ -156,6 +156,15 @@ class TestNystromBaseline:
         with pytest.raises(ValueError):
             nystrom_kmeans(ds, GAUSS, subset_size=11, k=1, seed=0)
 
+    def test_a_sample_too_large_for_memory_is_refused_by_name(self):
+        # 8 TB of Gram columns, so a sample that allocates fails at once
+        # rather than filling this machine's memory
+        ds = gen_synthetic("ring", 500_000, 0.1, 0)
+        with pytest.raises(ValueError) as info:
+            nystrom_embedding(ds, GAUSS, 10 ** 6, seed=0)
+        assert str(info.value) == ("subset_size=1000000 needs a dense 1000000 x 1000000 block of Gram columns, "
+                                   "more than this machine's memory")
+
     def test_zero_sampled_block_rejected(self):
         ds = Dataset(np.zeros((6, 2)))
         spec = KernelSpec(family="linear")
@@ -195,6 +204,15 @@ class TestRandomFourierFeatures:
             rff_kmeans(ds, GAUSS, num_features=3, k=2, seed=0)
         with pytest.raises(ValueError):
             rff_kmeans(ds, GAUSS, num_features=0, k=2, seed=0)
+
+    def test_features_too_many_for_memory_are_refused_by_name(self):
+        # 8 TB, so features that are allocated fail at once rather than
+        # filling this machine's memory
+        ds = gen_synthetic("ring", 500_000, 0.1, 0)
+        with pytest.raises(ValueError) as info:
+            rff_embedding(ds, GAUSS, 10 ** 6, seed=0)
+        assert str(info.value) == ("num_features=1000000 needs a dense 1000000 x 1000000 feature matrix, "
+                                   "more than this machine's memory")
 
     def test_requires_gaussian_kernel(self):
         ds = rand_dataset(0, 5, 2)

@@ -340,6 +340,24 @@ class TestErrorPaths:
                                "more than this machine's memory\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["factorize", "synth:ring:500000:0.1:0", "--subset-size", "1000000"],
+         "max_rank=1000000 needs a dense 1000000 x 1000000 factor"),
+        (["bench", "synth:ring:500000:0.1:0", "--algorithms", "kernel", "--allow-full-gram", "--seeds", "1"],
+         "full Gram matrix refused: n=1000000 with guard=1000000 needs a dense 1000000 x 1000000 Gram matrix"),
+        (["bench", "synth:ring:500000:0.1:0", "--subset-size", "1000000", "--algorithms", "nystrom",
+          "--seeds", "1"],
+         "subset_size=1000000 needs a dense 1000000 x 1000000 block of Gram columns"),
+        (["bench", "synth:ring:3:0.1:0", "--subset-size", str(10 ** 12), "--algorithms", "rff", "--seeds", "1"],
+         f"num_features={10 ** 12} needs a dense 6 x {10 ** 12} feature matrix"),
+    ], ids=["factor", "gram", "nystrom", "rff"])
+    def test_a_size_too_large_for_memory_is_refused_by_name(self, capsys, argv, message):
+        # terabytes, so a run that allocates fails at once rather than
+        # filling this machine's memory
+        code, stdout, stderr = run_cli(capsys, *argv, "--sigma", "1")
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {message}, more than this machine's memory\n"
+
     def test_cluster_on_a_rank_0_factor(self, capsys):
         # factorize reports s=0 (test_huge_epsilon_stops_immediately); there
         # is nothing to cluster in it
@@ -403,18 +421,32 @@ class TestErrorPaths:
 
 class TestModuleEntryPoint:
     def test_cluster_leaves_numpy_ma_unimported(self, tmp_path):
-        # np.unique imports numpy.ma, about half of a fresh interpreter's first
-        # cluster call; the writers' exact digits take neither decimal nor
-        # fractions, so neither the import nor a written synth file loads them
-        code = ("import sys, icfcluster.cli; "
-                "imported = [m in sys.modules for m in ('decimal', 'fractions')]; "
-                "icfcluster.cli.main(['cluster', 'synth:ring:16:0.05:0', "
-                "'--sigma', '16', '--subset-size', '4', '--clusters', '2']); "
-                f"icfcluster.cli.main(['synth', 'ring', '50', '0.1', '0', {str(tmp_path / 'ring.libsvm')!r}]); "
-                "print(imported + [m in sys.modules for m in ('numpy.ma', 'decimal', 'fractions')])")
+        # plain np.unique, np.setdiff1d and np.median import numpy.ma, about
+        # half of a fresh interpreter's first cluster call, where
+        # np.unique(..., return_inverse=True) does not; the writers' exact
+        # digits take neither decimal nor fractions.  So no command loads any
+        # of the three: a synth write, a factor dump, a cluster call, one
+        # whose k-means++ falls back to a uniform draw (two points, each
+        # twice, in three clusters) and a bench sweep of every algorithm with
+        # an even seed count, whose summary medians average two rows
+        ring, dups = str(tmp_path / "ring.libsvm"), tmp_path / "dups.libsvm"
+        dups.write_text("0 1:0 2:0\n0 1:0 2:0\n1 1:5 2:5\n1 1:5 2:5\n")
+        calls = [["synth", "ring", "50", "0.1", "0", ring],
+                 ["factorize", ring, "--sigma", "16", "--subset-size", "4", "--out", str(tmp_path / "ring.factor")],
+                 ["cluster", "synth:ring:16:0.05:0", "--sigma", "16", "--subset-size", "4", "--clusters", "2"],
+                 ["cluster", str(dups), "--sigma", "1", "--subset-size", "2", "--clusters", "3"],
+                 ["bench", "synth:ring:16:0.05:0", "--sigma", "16", "--subset-size", "4", "--seeds", "2",
+                  "--algorithms", "icf,kernel,chol,nystrom,rff,approx"]]
+        code = ("import sys, icfcluster.cli\n"
+                "loaded = lambda: [m for m in ('numpy.ma', 'decimal', 'fractions') if m in sys.modules]\n"
+                "print('import', loaded())\n"
+                f"for argv in {calls!r}:\n"
+                "    code = icfcluster.cli.main(argv)\n"
+                "    print(argv[0], code, loaded())\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str([False] * 5)
+        reports = [line for line in proc.stdout.splitlines() if line.endswith("]")]
+        assert reports == ["import []"] + [f"{argv[0]} 0 []" for argv in calls]
 
     def test_runs_as_python_module(self, tmp_path):
         out = tmp_path / "ring.libsvm"

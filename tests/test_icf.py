@@ -769,6 +769,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             icf_factorize(ds, GAUSS, max_rank=11)
 
+    def test_a_factor_too_large_for_memory_is_refused_by_name(self):
+        # 8 TB, so a factorization that allocates fails at once rather than
+        # filling this machine's memory
+        ds = gen_synthetic("ring", 500_000, 0.1, 0)
+        with pytest.raises(ValueError) as info:
+            icf_factorize(ds, GAUSS, max_rank=10 ** 6)
+        assert str(info.value) == ("max_rank=1000000 needs a dense 1000000 x 1000000 factor, "
+                                   "more than this machine's memory")
+
     def test_epsilon_must_be_positive(self):
         ds = rand_dataset(0, 10, 2)
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from icfcluster import (
     Dataset,
     KernelSpec,
     full_gram,
+    gen_synthetic,
     kernel_column,
     kernel_diag,
     kernel_eval,
@@ -149,6 +150,15 @@ class TestKernelDiag:
 
 
 class TestFullGram:
+    def test_a_guard_beyond_memory_is_refused_by_name(self):
+        # 8 TB, so a build that allocates fails at once rather than filling
+        # this machine's memory
+        ds = gen_synthetic("ring", 500_000, 0.1, 0)
+        with pytest.raises(ValueError) as info:
+            full_gram(KernelSpec("gaussian", 1.0), ds, guard=10 ** 6)
+        assert str(info.value) == ("full Gram matrix refused: n=1000000 with guard=1000000 needs a dense "
+                                   "1000000 x 1000000 Gram matrix, more than this machine's memory")
+
     def test_single_point(self):
         K = full_gram(KernelSpec("gaussian", 1.0), Dataset(np.array([[2.0, 3.0]])))
         assert np.array_equal(K, [[1.0]])

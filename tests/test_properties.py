@@ -574,11 +574,11 @@ def test_the_reader_gives_the_bits_or_the_error_of_one_read_over_every_row(case)
 
 # bad values for a float flag or field: NaN, +-inf, a negative, +-0, huge
 # ones and a subnormal; for an integer one: a negative, 0, and ones past
-# what numpy's sizes hold; for a --subset-size item, also an empty or
-# non-integer one
+# what numpy's sizes hold; for a --subset-size item, also one whose random
+# features would need terabytes, and an empty or non-integer one
 BAD_FLOATS = ["nan", "inf", "-inf", "-1.5", "0", "-0", "1e200", "1e308", "1e-320"]
 BAD_INTEGERS = ["-1", "0", str(2 ** 63), str(10 ** 30)]
-BAD_SIZES = [*BAD_INTEGERS, "", "x", "1.5"]
+BAD_SIZES = [*BAD_INTEGERS, str(10 ** 12), "", "x", "1.5"]
 
 
 @st.composite
@@ -644,6 +644,9 @@ def cli_runs(draw):
 @example(["synth", "--", "ring", str(2 ** 63), "0.1", "1", "{out}"])
 @example(["factorize", f"synth:ring:{10 ** 30}:0.1:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=2"])
 @example(["factorize", f"synth:ring:{2 ** 63}:0.1:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=2"])
+# random features of terabytes, once a numpy allocation error
+@example(["bench", "synth:ring:3:0.1:1", "--sigma=4", "--epsilon=1e-3", "--subset-size=1000000000000",
+          "--clusters=2", "--max-iter=5", "--seeds=2", "--algorithms=rff"])
 def test_every_command_exits_0_or_1_with_one_error_line_and_leaves_no_file_behind(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
