@@ -102,7 +102,7 @@ def cmd_bench(args) -> int:
 
 
 def _median(values: list[float]) -> float:
-    """np.median of a list, which would load numpy.ma: the mean of its one or two middle values."""
+    """numpy's median of a list without loading numpy.ma: the mean of its one or two middle values."""
     v = sorted(values)
     return (v[(len(v) - 1) // 2] + v[len(v) // 2]) / 2
 
