@@ -1,10 +1,7 @@
 """Kernel k-means clustering on incomplete Cholesky factors of the Gram matrix."""
 
-from .baselines import (approx_kkmeans, chol_embedding, kernel_chol_kmeans,
-                        nystrom_embedding, nystrom_kmeans, rff_embedding,
-                        rff_kmeans)
-from .cluster import (ClusterModel, icf_kkmeans, kernel_kmeans_oracle,
-                      kmeans_pp_init, lloyd, oracle_embedding, psd_embedding)
+from .baselines import approx_kkmeans, chol_embedding, nystrom_embedding, rff_embedding
+from .cluster import ClusterModel, kmeans_pp_init, lloyd, oracle_embedding, psd_embedding
 from .data import Dataset, ParseError, gen_synthetic, parse_libsvm, standardize, to_libsvm
 from .evaluate import (ALGORITHMS, CSV_HEADER, BenchmarkConfig,
                        BenchmarkReport, BenchmarkRow, accuracy, bound_gap,
@@ -36,16 +33,12 @@ __all__ = [
     "full_gram",
     "gen_synthetic",
     "icf_factorize",
-    "icf_kkmeans",
-    "kernel_chol_kmeans",
     "kernel_column",
     "kernel_diag",
     "kernel_eval",
-    "kernel_kmeans_oracle",
     "kmeans_pp_init",
     "lloyd",
     "nystrom_embedding",
-    "nystrom_kmeans",
     "oracle_embedding",
     "parse_factor_dump",
     "parse_libsvm",
@@ -53,7 +46,6 @@ __all__ = [
     "reconstruct",
     "residual_trace",
     "rff_embedding",
-    "rff_kmeans",
     "run_benchmark",
     "standardize",
     "to_libsvm",

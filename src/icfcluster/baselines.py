@@ -1,14 +1,15 @@
 """Reference competitors for the factored kernel k-means pipeline.
 
-Four alternatives spanning the exact-to-approximate range:
+Three embeddings whose rows lloyd clusters, as it clusters the rows of the
+incomplete Cholesky factor P, and one solver with restricted centers:
 
-* kernel_chol_kmeans: dense Cholesky of the full Gram matrix (jittered on
-  failure), then Lloyd on the triangular factor rows.  Exact but O(n^2).
-* nystrom_kmeans: uniform column sampling, embedding K_MB K_BB^{-1/2}.
-* rff_kmeans: random Fourier features for the Gaussian kernel, paired
+* chol_embedding: dense Cholesky of the full Gram matrix (jittered on
+  failure).  Exact but O(n^2).
+* nystrom_embedding: uniform column sampling, K_MB K_BB^{-1/2}.
+* rff_embedding: random Fourier features for the Gaussian kernel, paired
   cosine/sine so every embedded point has unit norm.
 * approx_kkmeans: centers restricted to the span of a sampled subset, solved
-  as Lloyd on the Nystrom embedding of the same sample.
+  as lloyd on the Nystrom embedding of the same sample.
 
 Sampled index sets are drawn without replacement and kept sorted, so at
 subset_size = n every sampling-based method sees the points in their original
@@ -24,27 +25,6 @@ import numpy as np
 from .cluster import MAX_ITER, ClusterModel, _clamped_eigh, lloyd
 from .data import Dataset, _memory_refusal, _rng
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram, kernel_columns, kernel_diag
-
-
-def kernel_chol_kmeans(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
-                       max_iter: int = MAX_ITER, guard: int = DEFAULT_GUARD) -> ClusterModel:
-    """Exact kernel k-means through a dense Cholesky factor of K."""
-    L = chol_embedding(dataset, spec, guard=guard)
-    return lloyd(L, k, seed, max_iter=max_iter)
-
-
-def nystrom_kmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                   max_iter: int = MAX_ITER) -> ClusterModel:
-    """Kernel k-means on the Nystrom embedding from a uniform sample."""
-    embed = nystrom_embedding(dataset, spec, subset_size, seed)
-    return lloyd(embed, k, seed, max_iter=max_iter)
-
-
-def rff_kmeans(dataset: Dataset, spec: KernelSpec, num_features: int, k: int, seed: int,
-               max_iter: int = MAX_ITER) -> ClusterModel:
-    """Kernel k-means on a random Fourier feature embedding (Gaussian only)."""
-    embed = rff_embedding(dataset, spec, num_features, seed)
-    return lloyd(embed, k, seed, max_iter=max_iter)
 
 
 def chol_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUARD) -> np.ndarray:
@@ -111,7 +91,7 @@ def approx_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int,
     Returns a ClusterModel whose centers are the k x subset_size combination
     weights over the sampled points; the objective is the mean squared
     feature-space distance to those restricted centers.  The assignments are
-    nystrom_kmeans's for the same arguments.
+    lloyd's on nystrom_embedding with the same subset_size and seed.
     """
     if not 1 <= k <= subset_size:
         raise ValueError(f"k must be in [1, subset_size={subset_size}], got {k}")

@@ -1,9 +1,9 @@
-"""Lloyd k-means over embedding rows and the kernel k-means entry points.
+"""Lloyd k-means over embedding rows, and the exact oracle embedding.
 
-Kernel k-means on K is run as ordinary k-means on rows of a factor whose
-Gram matrix is (approximately) K: rows of the incomplete Cholesky factor P
-for the cheap path, or rows of U sqrt(D) from a full eigendecomposition for
-the exact oracle.  Both paths share the same seeded k-means++ / Lloyd code so
+Kernel k-means on K is lloyd on the rows of an embedding whose Gram matrix
+is (approximately) K: the incomplete Cholesky factor P for the cheap path,
+or rows of U sqrt(D) from a full eigendecomposition for the exact oracle.
+Every embedding goes through the same seeded k-means++ / Lloyd code, so
 results are comparable across embeddings that agree on pairwise distances.
 """
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _read_only, _rng, _ValueType
-from .icf import EPSILON, RANK_TOL, icf_factorize
+from .data import Dataset, _memory_refusal, _read_only, _rng, _ValueType
+from .icf import RANK_TOL
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
 # Lloyd stops after an iteration that lowers its objective by at most this
@@ -105,7 +105,8 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     increases (a rise by rounding is recorded as no change).  An emptied
     cluster is reseeded to the point farthest from its previous center
     (drawn from clusters that can spare a member), so returned assignments
-    always cover all k ids.
+    always cover all k ids.  A k whose k x n score matrix would not fit in
+    memory is refused before seeding.
 
     Points are used in column-major order: a factor's P is read in place,
     other layouts are copied once, so results do not depend on the layout
@@ -134,6 +135,8 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     n = points.shape[0]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if refusal := _memory_refusal(k, n, "score matrix"):
+        raise ValueError(f"k={k} {refusal}")
     centers = kmeans_pp_init(points, k, seed, prepared=prepared)
     spread = float(spread.sum())
     offsets = centers - mean
@@ -173,31 +176,8 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
                         np.array(objectives), np.array(moves, dtype=np.int64))
 
 
-def icf_kkmeans(dataset: Dataset, spec: KernelSpec, subset_size: int, k: int, seed: int,
-                epsilon: float = EPSILON, max_iter: int = MAX_ITER) -> ClusterModel:
-    """Kernel k-means via incomplete Cholesky: factorize, then cluster rows of P.
-
-    subset_size caps the factor rank; the achieved rank (centers.shape[1]) can
-    be smaller when the residual trace hits epsilon first.
-    """
-    factor = icf_factorize(dataset, spec, max_rank=subset_size, epsilon=epsilon)
-    return lloyd(factor.P, k, seed, max_iter=max_iter)
-
-
-def kernel_kmeans_oracle(dataset: Dataset, spec: KernelSpec, k: int, seed: int,
-                         max_iter: int = MAX_ITER, guard: int = DEFAULT_GUARD) -> ClusterModel:
-    """Exact kernel k-means on the full Gram matrix (guarded; for reference).
-
-    Embeds points as rows of U sqrt(D) from the eigendecomposition of K, with
-    the eigenpairs at or below RANK_TOL times the largest eigenvalue
-    dropped, then runs the same Lloyd code as the factored path.
-    """
-    embed = oracle_embedding(dataset, spec, guard=guard)
-    return lloyd(embed, k, seed, max_iter=max_iter)
-
-
 def oracle_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """Exact n x n embedding of the full Gram matrix (guarded)."""
+    """Exact embedding of the full Gram matrix K (guarded): psd_embedding(K)."""
     return psd_embedding(full_gram(spec, dataset, guard=guard))
 
 

@@ -220,6 +220,8 @@ def reconstruct(factor: IcfFactor, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """Materialize the rank-s approximation P P^T (guarded, O(n^2) memory)."""
     if factor.n > guard:
         raise ValueError(f"reconstruction refused: n={factor.n} exceeds guard={guard}")
+    if refusal := _memory_refusal(factor.n, factor.n, "approximation"):
+        raise ValueError(f"reconstruction refused: n={factor.n} with guard={guard} {refusal}")
     return factor.P @ factor.P.T
 
 

@@ -25,13 +25,12 @@ from icfcluster import (
     fit_decay,
     gen_synthetic,
     icf_factorize,
-    icf_kkmeans,
-    kernel_kmeans_oracle,
     lloyd,
-    nystrom_kmeans,
+    nystrom_embedding,
+    oracle_embedding,
     reconstruct,
     residual_trace,
-    rff_kmeans,
+    rff_embedding,
 )
 from icfcluster.kernel import full_gram
 
@@ -116,7 +115,7 @@ def test_criterion_03_oracle_equivalence():
         ds = Dataset(np.random.default_rng(seed).normal(size=(40, 3)))
         factor = icf_factorize(ds, spec, max_rank=40, epsilon=1e-300)
         factored = lloyd(factor.P, 3, seed)
-        oracle = kernel_kmeans_oracle(ds, spec, k=3, seed=seed)
+        oracle = lloyd(oracle_embedding(ds, spec), 3, seed)
         worst_rel = max(worst_rel, abs(factored.objective - oracle.objective) / oracle.objective)
         K = full_gram(spec, ds)
         G = factor.P @ factor.P.T
@@ -161,7 +160,7 @@ def test_criterion_06_synthetic_accuracy():
     for kind, sigma in (("ring", 2.0 ** 4), ("parabolic", 2.0 ** 1), ("zigzag", 2.0 ** 3)):
         ds = gen_synthetic(kind, 500, 0.05, 0)
         spec = KernelSpec(sigma=sigma)
-        accs = [accuracy(icf_kkmeans(ds, spec, subset_size=50, k=2, seed=seed).assignments,
+        accs = [accuracy(lloyd(icf_factorize(ds, spec, max_rank=50).P, 2, seed).assignments,
                          ds.labels)
                 for seed in range(10)]
         medians[kind] = float(np.median(accs))
@@ -256,8 +255,8 @@ def test_criterion_10_baseline_ordering(mixture_dataset, mixture_factored_accura
     for s in (25, 50):
         icf_med, icf_var = stats[s]
         competitors = {
-            "nystrom": lambda seed, ss=s: nystrom_kmeans(mixture_dataset, spec, ss, 10, seed),
-            "rff": lambda seed, ss=s: rff_kmeans(mixture_dataset, spec, ss + ss % 2, 10, seed),
+            "nystrom": lambda seed, ss=s: lloyd(nystrom_embedding(mixture_dataset, spec, ss, seed), 10, seed),
+            "rff": lambda seed, ss=s: lloyd(rff_embedding(mixture_dataset, spec, ss + ss % 2, seed), 10, seed),
             "approx": lambda seed, ss=s: approx_kkmeans(mixture_dataset, spec, ss, 10, seed),
         }
         for name, fn in competitors.items():

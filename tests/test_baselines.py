@@ -13,13 +13,11 @@ from icfcluster import (
     chol_embedding,
     gen_synthetic,
     icf_factorize,
-    kernel_chol_kmeans,
-    kernel_kmeans_oracle,
+    lloyd,
     nystrom_embedding,
-    nystrom_kmeans,
+    oracle_embedding,
     residual_trace,
     rff_embedding,
-    rff_kmeans,
 )
 from icfcluster.kernel import full_gram
 
@@ -36,7 +34,7 @@ class TestCholeskyBaseline:
         ds = Dataset(pts)
         spec = KernelSpec(sigma=1.0)
         assert np.array_equal(chol_embedding(ds, spec), np.eye(6))
-        model = kernel_chol_kmeans(ds, spec, k=6, seed=0)
+        model = lloyd(chol_embedding(ds, spec), 6, 0)
         assert model.objective == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -44,19 +42,19 @@ class TestCholeskyBaseline:
         # triangular and eigendecomposition embeddings are both isometric to
         # the kernel feature space, so identical seeds give identical results
         ds = rand_dataset(20, 50, 3)
-        a = kernel_chol_kmeans(ds, GAUSS, k=3, seed=seed)
-        b = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=seed)
+        a = lloyd(chol_embedding(ds, GAUSS), 3, seed)
+        b = lloyd(oracle_embedding(ds, GAUSS), 3, seed)
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
     def test_singular_matrix_engages_jitter(self):
         ds = Dataset(np.zeros((3, 2)))
-        model = kernel_chol_kmeans(ds, GAUSS, k=1, seed=0)
+        model = lloyd(chol_embedding(ds, GAUSS), 1, 0)
         assert model.objective == pytest.approx(0.0, abs=1e-8)
 
     def test_guard_refuses_large_n(self):
         ds = rand_dataset(0, 12, 2)
         with pytest.raises(ValueError):
-            kernel_chol_kmeans(ds, GAUSS, k=2, seed=0, guard=11)
+            lloyd(chol_embedding(ds, GAUSS, guard=11), 2, 0)
 
     def test_peak_memory_is_the_gram_matrix_and_its_factor(self):
         ds = gen_synthetic("ring", 500, 0.05, 0)
@@ -107,8 +105,8 @@ class TestNystromBaseline:
     @pytest.mark.parametrize("seed", range(2))
     def test_full_sampling_matches_exact_oracle(self, seed):
         ds = rand_dataset(21, 40, 3)
-        a = nystrom_kmeans(ds, GAUSS, subset_size=40, k=3, seed=seed)
-        b = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=seed)
+        a = lloyd(nystrom_embedding(ds, GAUSS, 40, seed), 3, seed)
+        b = lloyd(oracle_embedding(ds, GAUSS), 3, seed)
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
     def test_full_sampling_is_seed_independent(self):
@@ -122,7 +120,7 @@ class TestNystromBaseline:
         ds = Dataset(np.zeros((3, 2)))
         E = nystrom_embedding(ds, GAUSS, 2, seed=0)
         assert E.shape == (3, 1)
-        model = nystrom_kmeans(ds, GAUSS, subset_size=2, k=1, seed=0)
+        model = lloyd(E, 1, 0)
         assert model.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_greedy_factorization_beats_uniform_sampling_on_mixtures(self):
@@ -143,8 +141,8 @@ class TestNystromBaseline:
 
     def test_objective_recomputable_from_embedding(self):
         ds = rand_dataset(23, 60, 3)
-        model = nystrom_kmeans(ds, GAUSS, subset_size=20, k=3, seed=4)
         E = nystrom_embedding(ds, GAUSS, 20, seed=4)
+        model = lloyd(E, 3, 4)
         centers = np.vstack([E[model.assignments == c].mean(axis=0) for c in range(3)])
         diff = E - centers[model.assignments]
         assert model.objective == pytest.approx(float((diff ** 2).sum()) / 60, abs=1e-9)
@@ -152,9 +150,9 @@ class TestNystromBaseline:
     def test_subset_size_validation(self):
         ds = rand_dataset(0, 10, 2)
         with pytest.raises(ValueError):
-            nystrom_kmeans(ds, GAUSS, subset_size=0, k=1, seed=0)
+            lloyd(nystrom_embedding(ds, GAUSS, 0, seed=0), 1, 0)
         with pytest.raises(ValueError):
-            nystrom_kmeans(ds, GAUSS, subset_size=11, k=1, seed=0)
+            lloyd(nystrom_embedding(ds, GAUSS, 11, seed=0), 1, 0)
 
     def test_a_sample_too_large_for_memory_is_refused_by_name(self):
         # 8 TB of Gram columns, so a sample that allocates fails at once
@@ -195,15 +193,15 @@ class TestRandomFourierFeatures:
 
     def test_two_features_still_cluster_distinct_points(self):
         ds = rand_dataset(25, 5, 2)
-        model = rff_kmeans(ds, GAUSS, num_features=2, k=5, seed=0)
+        model = lloyd(rff_embedding(ds, GAUSS, 2, seed=0), 5, 0)
         assert model.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_feature_count_rejected(self):
         ds = rand_dataset(0, 5, 2)
         with pytest.raises(ValueError):
-            rff_kmeans(ds, GAUSS, num_features=3, k=2, seed=0)
+            lloyd(rff_embedding(ds, GAUSS, 3, seed=0), 2, 0)
         with pytest.raises(ValueError):
-            rff_kmeans(ds, GAUSS, num_features=0, k=2, seed=0)
+            lloyd(rff_embedding(ds, GAUSS, 0, seed=0), 2, 0)
 
     def test_features_too_many_for_memory_are_refused_by_name(self):
         # 8 TB, so features that are allocated fail at once rather than
@@ -221,8 +219,8 @@ class TestRandomFourierFeatures:
 
     def test_objective_recomputable_from_embedding(self):
         ds = rand_dataset(26, 40, 3)
-        model = rff_kmeans(ds, GAUSS, num_features=32, k=3, seed=7)
         Z = rff_embedding(ds, GAUSS, 32, seed=7)
+        model = lloyd(Z, 3, 7)
         centers = np.vstack([Z[model.assignments == c].mean(axis=0) for c in range(3)])
         diff = Z - centers[model.assignments]
         assert model.objective == pytest.approx(float((diff ** 2).sum()) / 40, abs=1e-9)
@@ -233,7 +231,7 @@ class TestRestrictedKernelKmeans:
     def test_full_subset_matches_exact_oracle(self, seed):
         ds = rand_dataset(21, 40, 3)
         a = approx_kkmeans(ds, GAUSS, subset_size=40, k=3, seed=seed)
-        b = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=seed)
+        b = lloyd(oracle_embedding(ds, GAUSS), 3, seed)
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
     def test_objective_history_includes_the_residual(self):
@@ -255,7 +253,7 @@ class TestRestrictedKernelKmeans:
         spec = KernelSpec(sigma=0.125)
         approx_objs = [approx_kkmeans(ds, spec, subset_size=50, k=2, seed=s).objective
                        for s in range(10)]
-        oracle_objs = [kernel_kmeans_oracle(ds, spec, k=2, seed=s).objective
+        oracle_objs = [lloyd(oracle_embedding(ds, spec), 2, s).objective
                        for s in range(10)]
         med_a, med_o = float(np.median(approx_objs)), float(np.median(oracle_objs))
         assert abs(med_a - med_o) <= 0.10 * med_o
@@ -280,7 +278,7 @@ class TestRestrictedKernelKmeans:
         # in the Nystrom embedding of that sample, so both give one partition
         ds = rand_dataset(29, 40, 3)
         a = approx_kkmeans(ds, GAUSS, subset_size=12, k=3, seed=seed)
-        b = nystrom_kmeans(ds, GAUSS, subset_size=12, k=3, seed=seed)
+        b = lloyd(nystrom_embedding(ds, GAUSS, 12, seed), 3, seed)
         assert np.array_equal(a.assignments, b.assignments)
         assert a.iterations == b.iterations
         assert a.objective >= b.objective
@@ -305,8 +303,8 @@ class TestDeterminism:
     def test_same_seed_same_result(self):
         ds = rand_dataset(28, 50, 3)
         for fn in (
-            lambda s: nystrom_kmeans(ds, GAUSS, subset_size=15, k=3, seed=s),
-            lambda s: rff_kmeans(ds, GAUSS, num_features=16, k=3, seed=s),
+            lambda s: lloyd(nystrom_embedding(ds, GAUSS, 15, s), 3, s),
+            lambda s: lloyd(rff_embedding(ds, GAUSS, 16, s), 3, s),
             lambda s: approx_kkmeans(ds, GAUSS, subset_size=15, k=3, seed=s),
         ):
             a, b = fn(5), fn(5)

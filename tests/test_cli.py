@@ -350,13 +350,18 @@ class TestErrorPaths:
          "subset_size=1000000 needs a dense 1000000 x 1000000 block of Gram columns"),
         (["bench", "synth:ring:3:0.1:0", "--subset-size", str(10 ** 12), "--algorithms", "rff", "--seeds", "1"],
          f"num_features={10 ** 12} needs a dense 6 x {10 ** 12} feature matrix"),
-    ], ids=["factor", "gram", "nystrom", "rff"])
-    def test_a_size_too_large_for_memory_is_refused_by_name(self, capsys, argv, message):
+        # refused before the k-means++ draws, which would take minutes
+        (["cluster", "synth:ring:500000:0.1:0", "--subset-size", "1", "--clusters", "1000000"],
+         "k=1000000 needs a dense 1000000 x 1000000 score matrix"),
+    ], ids=["factor", "gram", "nystrom", "rff", "scores"])
+    def test_a_size_too_large_for_memory_is_refused_by_name(self, tmp_path, capsys, argv, message):
         # terabytes, so a run that allocates fails at once rather than
         # filling this machine's memory
-        code, stdout, stderr = run_cli(capsys, *argv, "--sigma", "1")
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, *argv, "--sigma", "1", "--out", str(out))
         assert (code, stdout) == (1, "")
         assert stderr == f"error: {message}, more than this machine's memory\n"
+        assert not out.exists()
 
     def test_cluster_on_a_rank_0_factor(self, capsys):
         # factorize reports s=0 (test_huge_epsilon_stops_immediately); there

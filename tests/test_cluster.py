@@ -1,4 +1,4 @@
-"""Tests for k-means++/Lloyd and the factored kernel k-means entry points."""
+"""Tests for k-means++/Lloyd, and for Lloyd on the factor and on the exact embedding."""
 
 import copy
 import itertools
@@ -15,10 +15,9 @@ from icfcluster import (
     accuracy,
     gen_synthetic,
     icf_factorize,
-    icf_kkmeans,
-    kernel_kmeans_oracle,
     kmeans_pp_init,
     lloyd,
+    oracle_embedding,
     psd_embedding,
 )
 from icfcluster import cluster
@@ -186,6 +185,16 @@ class TestLloyd:
             lloyd(pts, 6, seed=0)
         with pytest.raises(ValueError):
             lloyd(pts, 2, seed=0, max_iter=0)
+
+    def test_a_score_matrix_too_large_for_memory_is_refused_by_name(self, monkeypatch):
+        # 8 TB, so a run that allocates fails at once rather than filling this
+        # machine's memory; the seeding is stubbed, so that a lloyd without the
+        # refusal reaches the allocation without minutes of k-means++ draws
+        monkeypatch.setattr(cluster, "kmeans_pp_init", lambda points, k, seed, prepared: points[:k])
+        with pytest.raises(ValueError) as info:
+            lloyd(np.arange(10.0 ** 6)[:, None], 10 ** 6, 0)
+        assert str(info.value) == ("k=1000000 needs a dense 1000000 x 1000000 score matrix, "
+                                   "more than this machine's memory")
 
     @pytest.mark.parametrize("fit", [lloyd, kmeans_pp_init])
     @pytest.mark.parametrize("points, k, cause", [
@@ -544,12 +553,12 @@ class TestLowestRows:
 class TestFactoredKernelKmeans:
     def test_concentric_rings_fully_separated(self):
         ds = gen_synthetic("ring", 500, 0.05, 0)
-        model = icf_kkmeans(ds, KernelSpec(sigma=2.0 ** 4), subset_size=50, k=2, seed=0)
+        model = lloyd(icf_factorize(ds, KernelSpec(sigma=2.0 ** 4), max_rank=50).P, 2, 0)
         assert accuracy(model.assignments, ds.labels) >= 0.99
 
     def test_identical_points_single_cluster(self):
         ds = Dataset(np.zeros((3, 2)))
-        model = icf_kkmeans(ds, GAUSS, subset_size=3, k=1, seed=0)
+        model = lloyd(icf_factorize(ds, GAUSS, max_rank=3).P, 1, 0)
         assert model.objective == 0.0
         assert model.assignments.tolist() == [0, 0, 0]
 
@@ -558,28 +567,28 @@ class TestFactoredKernelKmeans:
         # at subset_size = n with a tiny epsilon the factor reproduces the
         # Gram matrix, so the factored path must agree with the dense oracle
         ds = Dataset(rand_points(12, 40, 3))
-        a = icf_kkmeans(ds, GAUSS, subset_size=40, k=3, seed=seed, epsilon=1e-300)
-        b = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=seed)
+        a = lloyd(icf_factorize(ds, GAUSS, max_rank=40, epsilon=1e-300).P, 3, seed)
+        b = lloyd(oracle_embedding(ds, GAUSS), 3, seed)
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
         assert accuracy(a.assignments, b.assignments) == 1.0
 
     def test_achieved_rank_can_fall_short_of_subset_size(self):
         ds = Dataset(np.zeros((10, 2)))
-        model = icf_kkmeans(ds, GAUSS, subset_size=5, k=1, seed=0)
+        model = lloyd(icf_factorize(ds, GAUSS, max_rank=5).P, 1, 0)
         assert model.centers.shape == (1, 1)
 
 
 class TestExactOracle:
     def test_identical_points_zero_objective(self):
         ds = Dataset(np.zeros((2, 3)))
-        model = kernel_kmeans_oracle(ds, GAUSS, k=1, seed=0)
+        model = lloyd(oracle_embedding(ds, GAUSS), 1, 0)
         assert model.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_objective_matches_direct_kernel_distances(self):
         # independent evaluation: ||phi(x_i) - mean of cluster||^2 expanded
         # through kernel entries only
         ds = Dataset(rand_points(13, 30, 4))
-        model = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=1)
+        model = lloyd(oracle_embedding(ds, GAUSS), 3, 1)
         K = full_gram(GAUSS, ds)
         total = 0.0
         for i in range(30):
@@ -589,13 +598,13 @@ class TestExactOracle:
 
     def test_concentric_rings_exact(self):
         ds = gen_synthetic("ring", 100, 0.05, 0)
-        model = kernel_kmeans_oracle(ds, KernelSpec(sigma=2.0 ** 4), k=2, seed=0)
+        model = lloyd(oracle_embedding(ds, KernelSpec(sigma=2.0 ** 4)), 2, 0)
         assert accuracy(model.assignments, ds.labels) == 1.0
 
     def test_guard_refuses_large_n(self):
         ds = Dataset(rand_points(0, 12, 2))
         with pytest.raises(ValueError):
-            kernel_kmeans_oracle(ds, GAUSS, k=2, seed=0, guard=11)
+            lloyd(oracle_embedding(ds, GAUSS, guard=11), 2, 0)
 
 
 class TestEmbeddings:

@@ -18,14 +18,12 @@ from icfcluster import (
     bound_gap,
     fit_decay,
     icf_factorize,
-    kernel_kmeans_oracle,
     reconstruct,
     run_benchmark,
     trace_objective,
 )
 from icfcluster import baselines, evaluate
-from icfcluster.baselines import (approx_kkmeans, chol_embedding, nystrom_embedding, nystrom_kmeans,
-                                  rff_embedding)
+from icfcluster.baselines import approx_kkmeans, chol_embedding, nystrom_embedding, rff_embedding
 from icfcluster.cluster import lloyd, oracle_embedding
 from icfcluster.kernel import full_gram, kernel_columns
 
@@ -129,7 +127,7 @@ class TestTraceObjective:
         # the k-means objective plus this partition score equals tr(K)/n
         ds = Dataset(np.random.default_rng(33).normal(size=(12, 3)))
         K = full_gram(GAUSS, ds)
-        model = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=0)
+        model = lloyd(oracle_embedding(ds, GAUSS), 3, 0)
         lhs = float(np.trace(K)) / 12 - model.objective
         assert lhs == pytest.approx(trace_objective(K, model.assignments, 3), abs=1e-9)
 
@@ -152,7 +150,7 @@ class TestTraceObjective:
             score += np.einsum("ij,ij->i", M @ K, M) / M.sum(axis=1)
         score /= 12.0
         best = float(score.max())
-        model = kernel_kmeans_oracle(ds, GAUSS, k=3, seed=0)
+        model = lloyd(oracle_embedding(ds, GAUSS), 3, 0)
         assert trace_objective(K, model.assignments, 3) == pytest.approx(best, rel=1e-9)
 
     def test_factor_path_matches_dense_path(self):
@@ -480,7 +478,7 @@ class TestSampledPairShared:
             if row.algorithm == "approx":
                 model = approx_kkmeans(ds, spec, size, k, seed)
             else:
-                model = nystrom_kmeans(ds, spec, size, k, seed)
+                model = lloyd(nystrom_embedding(ds, spec, size, seed), k, seed)
             assert row.objective == model.objective, (row.algorithm, size, seed)
             assert row.accuracy == accuracy(model.assignments, ds.labels)
             assert row.achieved_rank == rank

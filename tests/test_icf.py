@@ -792,6 +792,15 @@ class TestValidation:
             reconstruct(f, guard=11)
         assert reconstruct(f, guard=12).shape == (12, 12)
 
+    def test_a_reconstruction_too_large_for_memory_is_refused_by_name(self):
+        # 8 TB, so a reconstruction that allocates fails at once rather than
+        # filling this machine's memory
+        f = IcfFactor(np.zeros((10 ** 6, 1)), [0], np.zeros(10 ** 6), [1.0, 0.0], 0)
+        with pytest.raises(ValueError) as info:
+            reconstruct(f, guard=10 ** 6)
+        assert str(info.value) == ("reconstruction refused: n=1000000 with guard=1000000 needs a dense "
+                                   "1000000 x 1000000 approximation, more than this machine's memory")
+
     def test_factor_fields_are_read_only(self):
         ds = rand_dataset(0, 8, 2)
         f = icf_factorize(ds, GAUSS, max_rank=3, epsilon=1e-300)

@@ -29,9 +29,8 @@ def test_every_lloyd_cap_and_trace_threshold_default_is_the_named_one():
                 assert params[key].default is default, f"{name}({key}=...)"
                 found[key].add(name)
     assert found == {
-        "max_iter": {"BenchmarkConfig", "approx_kkmeans", "bound_gap", "icf_kkmeans", "kernel_chol_kmeans",
-                     "kernel_kmeans_oracle", "lloyd", "nystrom_kmeans", "rff_kmeans"},
-        "epsilon": {"BenchmarkConfig", "bound_gap", "icf_factorize", "icf_kkmeans"},
+        "max_iter": {"BenchmarkConfig", "approx_kkmeans", "bound_gap", "lloyd"},
+        "epsilon": {"BenchmarkConfig", "bound_gap", "icf_factorize"},
     }
     parser = cli._build_parser()
     for command in ("factorize", "cluster", "bench"):
