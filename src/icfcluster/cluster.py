@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _memory_refusal, _read_only, _rng, _ValueType
+from .data import Dataset, _must_fit, _read_only, _rng, _ValueType
 from .icf import RANK_TOL
 from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
 
@@ -135,8 +135,7 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     n = points.shape[0]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if refusal := _memory_refusal(k, n, "score matrix"):
-        raise ValueError(f"k={k} {refusal}")
+    _must_fit(f"k={k}", k, n, "score matrix")
     centers = kmeans_pp_init(points, k, seed, prepared=prepared)
     spread = float(spread.sum())
     offsets = centers - mean

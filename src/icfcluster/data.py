@@ -258,8 +258,7 @@ def gen_synthetic(kind: str, per_cluster: int, noise: float, seed: int) -> Datas
         raise ValueError(f"unknown kind {kind!r}, expected one of {_SYNTH_KINDS}")
     if per_cluster < 1:
         raise ValueError("per_cluster must be >= 1")
-    if refusal := _memory_refusal(2 * per_cluster, 2):
-        raise ValueError(f"per_cluster={per_cluster} {refusal}")
+    _must_fit(f"per_cluster={per_cluster}", 2 * per_cluster, 2)
     if not 0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = _rng(seed)
@@ -385,7 +384,7 @@ def _dense_block(lines: list[str], rows_before: int, max_index: int,
     marks = text.encode("ascii", "replace").translate(_DOTS, b"0123456789+-")
     if b" ." in marks or marks.translate(None, b".") != b"\n".join([b" :" * w] * n_rows):
         return None
-    if _memory_refusal(rows_before + n_rows, num_features or max(max_index, w)):
+    if not _fits(rows_before + n_rows, num_features or max(max_index, w)):
         return None  # for _convert_block to name the cause after its other rules
     try:
         table = np.loadtxt(text.replace(":", " ").splitlines(), comments=None, ndmin=2)
@@ -444,10 +443,8 @@ def _convert_block(lines: list[str], rows_before: int, max_index: int,
     width = max(index_of.values(), default=0)
     if num_features and width > num_features:
         raise ValueError(f"index {width} exceeds num_features={num_features}")
-    total_rows, widest = rows_before + n_rows, num_features or max(max_index, width)
-    if refusal := _memory_refusal(total_rows, widest):
-        cause = f"num_features={widest}" if num_features else f"index {widest}"
-        raise ValueError(f"{cause} {refusal}")
+    widest = num_features or max(max_index, width)
+    _must_fit(f"num_features={widest}" if num_features else f"index {widest}", rows_before + n_rows, widest)
     idx = np.fromiter(map(index_of.__getitem__, index_tokens), np.int64, n_tokens)
     # each index must exceed the one before it in its row, the first one 0
     prev = np.zeros_like(idx)
@@ -492,13 +489,15 @@ def _label(token: str) -> int:
     return label
 
 
-def _memory_refusal(rows: int, width: int, what: str = "point matrix") -> str | None:
-    """None when a dense rows x width float64 matrix fits in the machine's
-    physical memory; otherwise why it is refused, to follow the name and
-    value of what asked for it.  The arithmetic is on ints, so any size works."""
-    if rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        return None
-    return f"needs a dense {rows} x {width} {what}, more than this machine's memory"
+def _fits(rows: int, width: int) -> bool:
+    """Whether a dense rows x width float64 matrix fits in physical memory, for ints of any size."""
+    return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _must_fit(cause: str, rows: int, width: int, what: str = "point matrix") -> None:
+    """Raise a ValueError naming cause and the size unless a dense rows x width what _fits."""
+    if not _fits(rows, width):
+        raise ValueError(f"{cause} needs a dense {rows} x {width} {what}, more than this machine's memory")
 
 
 def _opened(source):

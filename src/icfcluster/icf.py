@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (_PAIRS, Dataset, _decimal, _digits, _memory_refusal, _read_only, _significands, _split,
+from .data import (_PAIRS, Dataset, _decimal, _digits, _must_fit, _read_only, _significands, _split,
                    _two_product, _ValueType)
 from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
 
@@ -167,8 +167,7 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
         raise ValueError(f"max_rank must be in [1, {n}], got {max_rank}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if refusal := _memory_refusal(max_rank, n, "factor"):
-        raise ValueError(f"max_rank={max_rank} {refusal}")
+    _must_fit(f"max_rank={max_rank}", max_rank, n, "factor")
     diag = kernel_diag(spec, dataset)
     PT = np.empty((max_rank, n))
     pivots = np.empty(max_rank, dtype=np.int64)
@@ -220,8 +219,7 @@ def reconstruct(factor: IcfFactor, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """Materialize the rank-s approximation P P^T (guarded, O(n^2) memory)."""
     if factor.n > guard:
         raise ValueError(f"reconstruction refused: n={factor.n} exceeds guard={guard}")
-    if refusal := _memory_refusal(factor.n, factor.n, "approximation"):
-        raise ValueError(f"reconstruction refused: n={factor.n} with guard={guard} {refusal}")
+    _must_fit(f"reconstruction refused: n={factor.n} with guard={guard}", factor.n, factor.n, "approximation")
     return factor.P @ factor.P.T
 
 
