@@ -57,12 +57,14 @@ def cmd_cluster(args) -> int:
     t1 = time.perf_counter()
     model = lloyd(factor.P, args.clusters, args.seed, max_iter=args.max_iter)
     t2 = time.perf_counter()
+    # scored before any output, so a refused score leaves no output file
+    score = None if dataset.labels is None else accuracy(model.assignments, dataset.labels)
     if args.out:
         _write_atomic(args.out, "\n".join(map(str, model.assignments.tolist())) + "\n")
     print(f"n={dataset.n} s={factor.s} k={args.clusters} seed={args.seed}")
     print(f"objective={model.objective!r} iterations={model.iterations} converged={model.converged}")
-    if dataset.labels is not None:
-        print(f"accuracy={accuracy(model.assignments, dataset.labels)!r}")
+    if score is not None:
+        print(f"accuracy={score!r}")
     print(f"factorize_ms={(t1 - t0) * 1e3:.3f} cluster_ms={(t2 - t1) * 1e3:.3f} "
           f"total_ms={(t2 - t0) * 1e3:.3f}")
     return 0

@@ -16,15 +16,18 @@ import numpy as np
 
 from .data import Dataset, _must_fit, _read_only, _rng, _ValueType
 from .icf import RANK_TOL
-from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
+from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, full_gram
 
 # Lloyd stops after an iteration that lowers its objective by at most this
 # fraction of it, and by default after MAX_ITER iterations
 TOL = 1e-6
 MAX_ITER = 1000
 
+# eigh's peak on an n x n K, K included, in n x n matrices (measured at n = 3,000)
+_EIGH_PEAK = 5.05
+
 # entries per block of the difference passes in _sq_dists (n x b columns)
-# and of the moved points gathered by _add_moves (512 KB)
+# and of the moved points and their indicators in _add_moves (512 KB)
 _BLOCK_SIZE = 1 << 16
 
 
@@ -105,8 +108,9 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     increases (a rise by rounding is recorded as no change).  An emptied
     cluster is reseeded to the point farthest from its previous center
     (drawn from clusters that can spare a member), so returned assignments
-    always cover all k ids.  A k whose k x n score matrix would not fit in
-    memory is refused before seeding.
+    always cover all k ids.  Lloyd holds one k x n buffer, for the scores
+    and the first iteration's one-hot matrix; a k for which it would not fit
+    in memory is refused before seeding.
 
     Points are used in column-major order: a factor's P is read in place,
     other layouts are copied once, so results do not depend on the layout
@@ -115,7 +119,7 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     center sums from the points whose cluster changed: arrivals added,
     departures subtracted, both about the mean, so the update's rounding
     does not grow with the points' offset.  The first iteration's sums are
-    a k x n one-hot matrix times the points and are kept apart from the
+    the k x n one-hot matrix times the points and are kept apart from the
     updates, so a cluster no point has entered or left keeps them exactly;
     the centers are always the sums over the counts.  Both the assignment
     and the TOL test work about the mean m of the points: a point goes to
@@ -143,14 +147,16 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     assign = None
     objectives, moves = [], []
     converged = False
+    scores = np.empty((k, n))
     for _ in range(max_iter):
-        scores = (-2.0 * offsets) @ points.T
+        np.matmul(-2.0 * offsets, points.T, out=scores)
         scores += (norms + 2.0 * (offsets @ mean))[:, None]
         new_assign = _repair_empty(points, centers, _lowest_rows(scores), k)
         counts = np.bincount(new_assign, minlength=k)
         if assign is None:
             moved = n
-            first, first_counts = _one_hot(new_assign, k) @ points, counts
+            np.equal(np.arange(k)[:, None], new_assign, out=scores)  # the one-hot matrix
+            first, first_counts = scores @ points, counts
             shift = np.zeros_like(first)
         else:
             changed = np.flatnonzero(new_assign != assign)
@@ -176,7 +182,8 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
 
 
 def oracle_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """Exact embedding of the full Gram matrix K (guarded): psd_embedding(K)."""
+    """Exact embedding psd_embedding(K) of the full Gram matrix K, refused past the guard or memory."""
+    _must_fit_square(dataset.n, guard, _EIGH_PEAK)
     return psd_embedding(full_gram(spec, dataset, guard=guard))
 
 
@@ -215,23 +222,18 @@ def _lowest_rows(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_hot(assign: np.ndarray, k: int) -> np.ndarray:
-    """k x n float indicator: row j is 1 where assign == j.  Multiplying a
-    matrix by it sums the matrix's rows per cluster."""
-    return (np.arange(k)[:, None] == assign).astype(np.float64)
-
-
 def _add_moves(shift: np.ndarray, points: np.ndarray, mean: np.ndarray, changed: np.ndarray,
                old: np.ndarray, new: np.ndarray) -> None:
     """Add the points changed (indices) to shift[new] and subtract them from
-    shift[old], about the mean, gathering at most _BLOCK_SIZE entries at a time."""
+    shift[old], about the mean, m points at a time: neither the gathered m x s
+    points nor the k x m one-hot matrices exceed _BLOCK_SIZE entries."""
     k, s = shift.shape
-    rows = max(1, _BLOCK_SIZE // max(s, 1))
+    rows, ids = max(1, _BLOCK_SIZE // max(s, k)), np.arange(k)[:, None]
     for lo in range(0, changed.size, rows):
         idx = changed[lo:lo + rows]
         block = points[idx]
         block -= mean
-        shift += (_one_hot(new[idx], k) - _one_hot(old[idx], k)) @ block
+        shift += ((ids == new[idx]) * 1.0 - (ids == old[idx])) @ block
 
 
 def _prepared(points, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

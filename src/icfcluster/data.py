@@ -489,15 +489,18 @@ def _label(token: str) -> int:
     return label
 
 
-def _fits(rows: int, width: int) -> bool:
-    """Whether a dense rows x width float64 matrix fits in physical memory, for ints of any size."""
-    return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _fits(rows: int, width: int, times: float = 1) -> bool:
+    """Whether times a dense rows x width matrix of 8-byte values fits in
+    physical memory.  An int compares exactly with a float, so any size works."""
+    return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / times
 
 
-def _must_fit(cause: str, rows: int, width: int, what: str = "point matrix") -> None:
-    """Raise a ValueError naming cause and the size unless a dense rows x width what _fits."""
-    if not _fits(rows, width):
-        raise ValueError(f"{cause} needs a dense {rows} x {width} {what}, more than this machine's memory")
+def _must_fit(cause: str, rows: int, width: int, what: str = "point matrix", times: float = 1) -> None:
+    """Raise a ValueError naming cause and the size unless times a dense rows x
+    width what _fits; the size named is one such matrix when even that does not."""
+    if not _fits(rows, width, times):
+        many = f"{times:g} times " if _fits(rows, width) else ""
+        raise ValueError(f"{cause} needs {many}a dense {rows} x {width} {what}, more than this machine's memory")
 
 
 def _opened(source):

@@ -27,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import _approx_blocks, _approx_solve, chol_embedding, rff_embedding
-from .cluster import MAX_ITER, ClusterModel, lloyd, oracle_embedding, psd_embedding
-from .data import Dataset, _read_only
+from .cluster import _EIGH_PEAK, MAX_ITER, ClusterModel, lloyd, oracle_embedding, psd_embedding
+from .data import Dataset, _must_fit, _read_only
 from .icf import EPSILON, IcfFactor, icf_factorize, residual_trace
-from .kernel import DEFAULT_GUARD, KernelSpec, full_gram
+from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, full_gram
 
 ALGORITHMS = ("icf", "kernel", "chol", "nystrom", "rff", "approx")
 
@@ -60,6 +60,7 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     # dense ids, every NaN its own; return_inverse, unlike plain np.unique, loads no numpy.ma
     pi, ti = (np.unique(a, return_inverse=True, equal_nan=False)[1] for a in (pred, truth))
     size = max(pi.max(), ti.max()) + 1
+    _must_fit(f"accuracy of {size} cluster or label ids", size, size, "contingency table", 2)
     table = np.bincount(pi * size + ti, minlength=size * size).reshape(size, size)
     cols = _max_weight_matching(table)
     return float(table[np.arange(size), cols].sum()) / pred.size
@@ -79,7 +80,7 @@ def _max_weight_matching(table: np.ndarray) -> np.ndarray:
     """
     k = table.shape[0]
     cost = np.zeros((k + 1, k + 1), dtype=np.int64)
-    cost[1:, 1:] = -table
+    np.negative(table, out=cost[1:, 1:])
     u = np.zeros(k + 1, dtype=np.int64)
     v = np.zeros(k + 1, dtype=np.int64)
     row_of = np.zeros(k + 1, dtype=np.int64)  # row (1-based) matched to column j; 0 is free
@@ -151,6 +152,7 @@ def bound_gap(dataset: Dataset, spec: KernelSpec, k: int, subset_size: int, seed
     give, but it should still fall under the bound almost always.
     """
     n = dataset.n
+    _must_fit_square(n, guard, _EIGH_PEAK)
     K = full_gram(spec, dataset, guard=guard)
     exact = lloyd(psd_embedding(K), k, seed, max_iter=max_iter)
     factor = icf_factorize(dataset, spec, max_rank=subset_size, epsilon=epsilon)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import (_PAIRS, Dataset, _decimal, _digits, _must_fit, _read_only, _significands, _split,
                    _two_product, _ValueType)
-from .kernel import DEFAULT_GUARD, KernelSpec, kernel_column, kernel_diag
+from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative, by an amount that
 # scales with their kernel diagonal entry; anything below this fraction of
@@ -217,9 +217,7 @@ def icf_factorize(dataset: Dataset, spec: KernelSpec, max_rank: int, epsilon: fl
 
 def reconstruct(factor: IcfFactor, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """Materialize the rank-s approximation P P^T (guarded, O(n^2) memory)."""
-    if factor.n > guard:
-        raise ValueError(f"reconstruction refused: n={factor.n} exceeds guard={guard}")
-    _must_fit(f"reconstruction refused: n={factor.n} with guard={guard}", factor.n, factor.n, "approximation")
+    _must_fit_square(factor.n, guard, 1, "reconstruction", "approximation")
     return factor.P @ factor.P.T
 
 

@@ -105,11 +105,17 @@ def full_gram(spec: KernelSpec, dataset: Dataset, guard: int = DEFAULT_GUARD) ->
     exactly symmetric and each column has the bits of the single-column query.
     """
     n = dataset.n
-    if n > guard:
-        raise ValueError(f"full Gram matrix refused: n={n} exceeds guard={guard}")
-    _must_fit(f"full Gram matrix refused: n={n} with guard={guard}", n, n, "Gram matrix")
+    _must_fit_square(n, guard)
     K = np.empty((n, n))
     step = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, n, step):
         K[:, lo:lo + step] = kernel_columns(spec, dataset, range(lo, min(lo + step, n)))
     return K
+
+
+def _must_fit_square(n: int, guard: int, times: float = 1, name: str = "full Gram matrix",
+                     what: str = "Gram matrix") -> None:
+    """Raise the ValueError refusing times a dense n x n what: n above the guard, or beyond memory."""
+    if n > guard:
+        raise ValueError(f"{name} refused: n={n} exceeds guard={guard}")
+    _must_fit(f"{name} refused: n={n} with guard={guard}", n, n, what, times)

@@ -56,6 +56,16 @@ class TestCholeskyBaseline:
         with pytest.raises(ValueError):
             lloyd(chol_embedding(ds, GAUSS, guard=11), 2, 0)
 
+    def test_a_factorization_beyond_memory_is_refused_by_name(self, physical_memory):
+        # one 200 x 200 K fits in this memory, cholesky's 3.15 of them do not
+        ds = rand_dataset(0, 200, 2)
+        physical_memory(3 * 200 * 200 * 8)
+        assert full_gram(GAUSS, ds).shape == (200, 200)
+        with pytest.raises(ValueError) as info:
+            chol_embedding(ds, GAUSS, guard=300)
+        assert str(info.value) == ("full Gram matrix refused: n=200 with guard=300 needs 3.15 times a dense "
+                                   "200 x 200 Gram matrix, more than this machine's memory")
+
     def test_peak_memory_is_the_gram_matrix_and_its_factor(self):
         ds = gen_synthetic("ring", 500, 0.05, 0)
         tracemalloc.start()

@@ -363,6 +363,34 @@ class TestErrorPaths:
         assert stderr == f"error: {message}, more than this machine's memory\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithm,times", [("kernel", "5.05"), ("chol", "3.15")])
+    def test_a_full_matrix_whose_working_set_is_beyond_memory_is_refused_by_name(
+            self, tmp_path, capsys, physical_memory, algorithm, times):
+        # one 200 x 200 Gram matrix fits in this memory, the decomposition's
+        # working set does not
+        physical_memory(3 * 200 * 200 * 8)
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "bench", "synth:ring:100:0.1:0", "--algorithms", algorithm,
+                                       "--allow-full-gram", "--seeds", "1", "--sigma", "1", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: full Gram matrix refused: n=200 with guard=5000 needs {times} times a dense "
+                          "200 x 200 Gram matrix, more than this machine's memory\n")
+        assert not out.exists()
+
+    def test_a_contingency_table_beyond_memory_is_refused_before_any_output(self, tmp_path, capsys,
+                                                                           physical_memory):
+        # labels that are row ids give a 200 x 200 table, and its two
+        # matrices do not fit; the points, factor and scores do
+        path = tmp_path / "ids.libsvm"
+        path.write_text("".join(f"{i} 1:{i % 7}.5\n" for i in range(200)))
+        physical_memory(200 * 200 * 8)
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "cluster", str(path), "--sigma", "1", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == ("error: accuracy of 200 cluster or label ids needs 2 times a dense 200 x 200 "
+                          "contingency table, more than this machine's memory\n")
+        assert not out.exists()
+
     def test_cluster_on_a_rank_0_factor(self, capsys):
         # factorize reports s=0 (test_huge_epsilon_stops_immediately); there
         # is nothing to cluster in it

@@ -21,7 +21,7 @@ from icfcluster import (
     psd_embedding,
 )
 from icfcluster import cluster
-from icfcluster.cluster import _BLOCK_SIZE, _add_moves, _lowest_rows, _one_hot, _repair_empty, _sq_dists
+from icfcluster.cluster import _BLOCK_SIZE, _add_moves, _lowest_rows, _repair_empty, _sq_dists
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -29,6 +29,11 @@ GAUSS = KernelSpec(sigma=0.5)
 
 def rand_points(seed: int, n: int, d: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(n, d))
+
+
+def one_hot(assign: np.ndarray, k: int) -> np.ndarray:
+    """k x n float indicator: row j is 1 where assign == j."""
+    return (np.arange(k)[:, None] == assign).astype(np.float64)
 
 
 class TestKmeansPlusPlus:
@@ -185,6 +190,18 @@ class TestLloyd:
             lloyd(pts, 6, seed=0)
         with pytest.raises(ValueError):
             lloyd(pts, 2, seed=0, max_iter=0)
+
+    def test_peak_is_one_score_matrix(self):
+        # the scores and the first iteration's one-hot matrix share one k x n
+        # buffer, and the moved points' one-hot blocks stay within _BLOCK_SIZE
+        pts, k = rand_points(1, 10_000, 2), 1000
+        tracemalloc.start()
+        try:
+            lloyd(pts, k, 0, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * k * pts.shape[0] * 8
 
     def test_a_score_matrix_too_large_for_memory_is_refused_by_name(self, monkeypatch):
         # 8 TB, so a run that allocates fails at once rather than filling this
@@ -405,22 +422,25 @@ def test_sq_dists_holds_one_block_of_differences(n, s):
         assert peak < 8 * (_BLOCK_SIZE + np.getbufsize() + 4 * n)
 
 
-def test_moving_every_point_gathers_one_block_at_a_time():
-    # the center-sum update gathers the moved rows of P; in the first
-    # iterations most points can move, so it must not gather them all at once
-    P = np.asfortranarray(rand_points(10, 10_000, 100))
+@pytest.mark.parametrize("k,n,s", [(10, 10_000, 100), (1000, 5_000, 2)])
+def test_moving_every_point_gathers_one_block_at_a_time(k, n, s):
+    # the center-sum update gathers the moved rows of P and their k x m
+    # one-hot matrices; in the first iterations most points can move, so it
+    # must not gather them all at once (8 MB of rows at s = 100, 80 MB of
+    # one-hot matrices at k = 1,000)
+    P = np.asfortranarray(rand_points(10, n, s))
     rng = np.random.default_rng(11)
-    old, new = rng.integers(0, 10, 10_000), rng.integers(0, 10, 10_000)
+    old, new = rng.integers(0, k, n), rng.integers(0, k, n)
     mean = P.mean(axis=0)
-    shift = np.zeros((10, 100))
+    shift = np.zeros((k, s))
     tracemalloc.start()
     try:
-        _add_moves(shift, P, mean, np.arange(10_000), old, new)
+        _add_moves(shift, P, mean, np.arange(n), old, new)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < P.nbytes / 4
-    expected = (_one_hot(new, 10) - _one_hot(old, 10)) @ (P - mean)
+    assert peak < 3 * 8 * _BLOCK_SIZE
+    expected = (one_hot(new, k) - one_hot(old, k)) @ (P - mean)
     np.testing.assert_allclose(shift, expected, rtol=1e-10, atol=1e-10 * float(np.abs(expected).max()))
 
 
@@ -463,7 +483,7 @@ def oracle_lloyd(points, k, seed, max_iter=1000, tol=1e-6):
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
-        centers = (_one_hot(assign, k) @ points) / counts[:, None]
+        centers = (one_hot(assign, k) @ points) / counts[:, None]
         iterations += 1
         obj = max(spread - float(counts @ _sq_dists(centers, mean)), 0.0) / n
         if np.isfinite(prev_obj) and prev_obj - obj <= tol * prev_obj:
@@ -605,6 +625,16 @@ class TestExactOracle:
         ds = Dataset(rand_points(0, 12, 2))
         with pytest.raises(ValueError):
             lloyd(oracle_embedding(ds, GAUSS, guard=11), 2, 0)
+
+    def test_an_eigendecomposition_beyond_memory_is_refused_by_name(self, physical_memory):
+        # one 200 x 200 K fits in this memory, eigh's 5.05 of them do not
+        ds = Dataset(rand_points(0, 200, 2))
+        physical_memory(4 * 200 * 200 * 8)
+        assert full_gram(GAUSS, ds).shape == (200, 200)
+        with pytest.raises(ValueError) as info:
+            oracle_embedding(ds, GAUSS)
+        assert str(info.value) == ("full Gram matrix refused: n=200 with guard=5000 needs 5.05 times a dense "
+                                   "200 x 200 Gram matrix, more than this machine's memory")
 
 
 class TestEmbeddings:

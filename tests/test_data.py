@@ -209,11 +209,11 @@ class TestParseLibsvm:
             assert f"2 x {idx}" in str(exc.value)
 
     @pytest.mark.parametrize("block_chars", [1, data._BLOCK_CHARS])
-    def test_memory_rule_counts_the_widest_index_before(self, block_chars, monkeypatch):
+    def test_memory_rule_counts_the_widest_index_before(self, block_chars, monkeypatch, physical_memory):
         # a narrow line after a wide one adds a row as wide as the wide one,
         # whether the two lines share a block or not
         # a machine of 32 bytes: a matrix of 4 float64 values fits, 6 do not
-        monkeypatch.setattr(data.os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}.__getitem__)
+        physical_memory(32)
         monkeypatch.setattr(data, "_BLOCK_CHARS", block_chars)
         with pytest.raises(ParseError) as exc:
             parse_libsvm("1 3:1\n1 1:1\n")

@@ -60,6 +60,20 @@ class TestAccuracy:
             accuracy(np.array([]), np.array([]))
 
 
+    def test_a_contingency_table_beyond_memory_is_refused_by_name(self, physical_memory):
+        # 100 label ids: the table and the matching's cost matrix are two
+        # 100 x 100 matrices, of which this memory holds one and a half
+        truth = np.arange(100)
+        pred = truth[::-1].copy()
+        physical_memory(150 * 100 * 8)
+        with pytest.raises(ValueError) as info:
+            accuracy(pred, truth)
+        assert str(info.value) == ("accuracy of 100 cluster or label ids needs 2 times a dense 100 x 100 "
+                                   "contingency table, more than this machine's memory")
+        physical_memory(200 * 100 * 8)
+        assert accuracy(pred, truth) == 1.0
+
+
 def brute_force_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Best matched fraction over every one-to-one relabeling of the ids."""
     pred_ids, truth_ids = np.unique(pred), np.unique(truth)
@@ -188,6 +202,15 @@ class TestBoundGap:
         gap, bound = bound_gap(ds, GAUSS, k=1, subset_size=10, seed=0)
         assert gap == 0.0
         assert bound > 0.0
+
+    def test_an_eigendecomposition_beyond_memory_is_refused_by_name(self, physical_memory):
+        # one 200 x 200 K fits in this memory, eigh's 5.05 of them do not
+        ds = Dataset(np.random.default_rng(0).normal(size=(200, 3)))
+        physical_memory(4 * 200 * 200 * 8)
+        with pytest.raises(ValueError) as info:
+            bound_gap(ds, GAUSS, k=2, subset_size=10, seed=0)
+        assert str(info.value) == ("full Gram matrix refused: n=200 with guard=5000 needs 5.05 times a dense "
+                                   "200 x 200 Gram matrix, more than this machine's memory")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_observed_degradation_within_guarantee(self, seed):
