@@ -16,7 +16,7 @@ import time
 
 from .cluster import MAX_ITER, lloyd
 from .data import gen_synthetic, parse_libsvm, standardize, to_libsvm
-from .evaluate import BenchmarkConfig, accuracy, run_benchmark
+from .evaluate import BenchmarkConfig, _accuracy_of, run_benchmark
 from .icf import EPSILON, dump_factor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec
 
@@ -57,8 +57,7 @@ def cmd_cluster(args) -> int:
     t1 = time.perf_counter()
     model = lloyd(factor.P, args.clusters, args.seed, max_iter=args.max_iter)
     t2 = time.perf_counter()
-    # scored before any output, so a refused score leaves no output file
-    score = None if dataset.labels is None else accuracy(model.assignments, dataset.labels)
+    score = _accuracy_of(model, dataset)  # before any output, which a refused score then leaves unwritten
     if args.out:
         _write_atomic(args.out, "\n".join(map(str, model.assignments.tolist())) + "\n")
     print(f"n={dataset.n} s={factor.s} k={args.clusters} seed={args.seed}")

@@ -23,9 +23,6 @@ from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, full_gram
 TOL = 1e-6
 MAX_ITER = 1000
 
-# eigh's peak on an n x n K, K included, in n x n matrices (measured at n = 3,000)
-_EIGH_PEAK = 5.05
-
 # entries per block of the difference passes in _sq_dists (n x b columns)
 # and of the moved points and their indicators in _add_moves (512 KB)
 _BLOCK_SIZE = 1 << 16
@@ -108,9 +105,8 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     increases (a rise by rounding is recorded as no change).  An emptied
     cluster is reseeded to the point farthest from its previous center
     (drawn from clusters that can spare a member), so returned assignments
-    always cover all k ids.  Lloyd holds one k x n buffer, for the scores
-    and the first iteration's one-hot matrix; a k for which it would not fit
-    in memory is refused before seeding.
+    always cover all k ids.  One k x n buffer holds the scores and the first
+    one-hot matrix; a k for which it would not fit is refused before seeding.
 
     Points are used in column-major order: a factor's P is read in place,
     other layouts are copied once, so results do not depend on the layout
@@ -183,7 +179,7 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
 
 def oracle_embedding(dataset: Dataset, spec: KernelSpec, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """Exact embedding psd_embedding(K) of the full Gram matrix K, refused past the guard or memory."""
-    _must_fit_square(dataset.n, guard, _EIGH_PEAK)
+    _must_fit_square(dataset.n, guard, 5.05)  # K and eigh's working set, measured at n = 3,000
     return psd_embedding(full_gram(spec, dataset, guard=guard))
 
 
@@ -224,9 +220,8 @@ def _lowest_rows(scores: np.ndarray) -> np.ndarray:
 
 def _add_moves(shift: np.ndarray, points: np.ndarray, mean: np.ndarray, changed: np.ndarray,
                old: np.ndarray, new: np.ndarray) -> None:
-    """Add the points changed (indices) to shift[new] and subtract them from
-    shift[old], about the mean, m points at a time: neither the gathered m x s
-    points nor the k x m one-hot matrices exceed _BLOCK_SIZE entries."""
+    """Add the points changed (indices) to shift[new] and subtract them from shift[old],
+    about the mean, in blocks whose m x s points and k x m indicators fit _BLOCK_SIZE entries."""
     k, s = shift.shape
     rows, ids = max(1, _BLOCK_SIZE // max(s, k)), np.arange(k)[:, None]
     for lo in range(0, changed.size, rows):

@@ -490,9 +490,8 @@ def _label(token: str) -> int:
 
 
 def _fits(rows: int, width: int, times: float = 1) -> bool:
-    """Whether times a dense rows x width matrix of 8-byte values fits in
-    physical memory.  An int compares exactly with a float, so any size works."""
-    return rows * width * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / times
+    """Whether times a dense rows x width 8-byte matrix fits in physical memory, exact at any size."""
+    return int(rows) * int(width) * 8 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / times
 
 
 def _must_fit(cause: str, rows: int, width: int, what: str = "point matrix", times: float = 1) -> None:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import _approx_blocks, _approx_solve, chol_embedding, rff_embedding
-from .cluster import _EIGH_PEAK, MAX_ITER, ClusterModel, lloyd, oracle_embedding, psd_embedding
+from .cluster import MAX_ITER, ClusterModel, lloyd, oracle_embedding, psd_embedding
 from .data import Dataset, _must_fit, _read_only
 from .icf import EPSILON, IcfFactor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, full_gram
@@ -152,7 +152,7 @@ def bound_gap(dataset: Dataset, spec: KernelSpec, k: int, subset_size: int, seed
     give, but it should still fall under the bound almost always.
     """
     n = dataset.n
-    _must_fit_square(n, guard, _EIGH_PEAK)
+    _must_fit_square(n, guard, 5.05)  # as oracle_embedding: K and eigh's working set
     K = full_gram(spec, dataset, guard=guard)
     exact = lloyd(psd_embedding(K), k, seed, max_iter=max_iter)
     factor = icf_factorize(dataset, spec, max_rank=subset_size, epsilon=epsilon)
