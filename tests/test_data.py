@@ -219,6 +219,14 @@ class TestParseLibsvm:
             parse_libsvm("1 3:1\n1 1:1\n")
         assert str(exc.value).startswith("line 2: index 3 needs a dense 2 x 3 point matrix")
 
+    def test_memory_rule_is_exact_for_numpy_sizes(self, physical_memory):
+        # 2**31 x 2**31 x 8 bytes is 2**65, which wraps to 0 in int64
+        physical_memory(32)
+        size = np.int64(2 ** 31)
+        assert not data._fits(size, size)
+        with pytest.raises(ValueError, match="needs a dense 2147483648 x 2147483648 contingency table"):
+            data._must_fit("ids", size, size, "contingency table")
+
     def test_label_beyond_int64_rejected(self):
         with pytest.raises(ParseError) as exc:
             parse_libsvm("1 1:1.0\n99999999999999999999 1:2.0\n")
