@@ -66,20 +66,27 @@ def rff_embedding(dataset: Dataset, spec: KernelSpec, num_features: int, seed: i
 
     Frequencies are drawn from the Gaussian spectral density (per-coordinate
     variance 2 sigma); num_features must be even so cos/sin pairs line up, and
-    rows are normalized to unit norm exactly, matching k(x, x) = 1.
+    rows are normalized to unit norm exactly, matching k(x, x) = 1.  The
+    features and the norm's squares are the two n x num_features arrays held
+    at the peak.
     """
     if spec.family != "gaussian":
         raise ValueError("random Fourier features require the gaussian family")
     if num_features < 2 or num_features % 2 != 0:
         raise ValueError(f"num_features must be even and >= 2, got {num_features}")
-    _must_fit(f"num_features={num_features}", dataset.n, num_features, "feature matrix")
+    _must_fit(f"num_features={num_features}", dataset.n, num_features, "feature matrix", 2)
     rng = _rng(seed)
+    half = num_features // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        freqs = rng.normal(0.0, np.sqrt(2.0 * spec.sigma), size=(dataset.d, num_features // 2))
+        freqs = rng.normal(0.0, np.sqrt(2.0 * spec.sigma), size=(dataset.d, half))
         proj = dataset.points @ freqs
     if not np.isfinite(proj).all():
         raise ValueError(f"random Fourier features overflow: sigma={spec.sigma} is too large for these points")
-    Z = np.sqrt(2.0 / num_features) * np.hstack([np.cos(proj), np.sin(proj)])
+    Z = np.empty((dataset.n, num_features))
+    np.cos(proj, out=Z[:, :half])
+    np.sin(proj, out=Z[:, half:])
+    del proj
+    Z *= np.sqrt(2.0 / num_features)
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     return Z
 
@@ -104,11 +111,14 @@ def _approx_blocks(dataset: Dataset, spec: KernelSpec, subset_size: int, seed: i
 
     K_MB are the sample's Gram columns and U D U^T is K_BB over the
     eigenpairs _clamped_eigh keeps, so W W^T is its pseudo-inverse.
-    K_MB is freed on return; only Z and W outlive the call.
+    K_MB is freed on return; only Z and W outlive the call.  The peak is
+    below 2.01 n x m for K_MB with kernel_columns' temporary or with Z, plus
+    5.05 m x m for eigh of K_BB (as for K in oracle_embedding).
     """
     if not 1 <= subset_size <= dataset.n:
         raise ValueError(f"subset_size must be in [1, {dataset.n}], got {subset_size}")
-    _must_fit(f"subset_size={subset_size}", dataset.n, subset_size, "block of Gram columns")
+    _must_fit(f"subset_size={subset_size}", dataset.n, subset_size, "block of Gram columns",
+              2.01 + 5.05 * subset_size / dataset.n)
     B = np.sort(_rng(seed).choice(dataset.n, size=subset_size, replace=False))
     K_MB = kernel_columns(spec, dataset, B)
     w, U = _clamped_eigh(K_MB[B], "sampled kernel block")

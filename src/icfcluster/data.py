@@ -555,10 +555,10 @@ _QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np
 
 # the exact path covers 1e-27 <= |v| < 1e17, where the decimal exponent E is
 # in [-27, 16] and the significand round(|v| 10^(17 - E)) needs 10^k for k up
-# to 44, taken as 10^(k - 22) times 10^22: the Dekker products read only the
-# entries k <= 22, which are exact; _shortest reads the others, rounded, to
-# size a gap
+# to 44: 10^k rounded, and what rounding left off, exact in a double as a
+# multiple of 2^k below 2^(k + 51) (0 for k <= 22, where 10^k is exact)
 _POW10 = 10.0 ** np.arange(45)
+_POW10_LO = np.array([float(10 ** k - int(p)) for k, p in enumerate(_POW10.tolist())])
 _SPLITTER = 2.0 ** 27 + 1
 
 
@@ -682,35 +682,30 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """round_half_even(x 10^k) for 0 <= k <= 44 where that is in [1e16, 2^63), exactly.
 
-    x 10^k is h + l2 for the Dekker product (h, l2) = x 10^k when k <= 22.
-    For k > 22 it is h + l2 + h3 + l3 for three: (h1, l1) = x 10^(k - 22),
-    (h, l2) = h1 10^22 and (h3, l3) = l1 10^22.  h is at least 2^53, so an
-    even integer, and the result is h + round_half_even(T) for the tail T.
-    T is summed exactly into the nonoverlapping expansion g0 + g1 + g2
-    (Knuth's two-sum grown as in Shewchuk 1997), whose lower part g0 + g1
-    lies below both 2^-40 and the lowest bit of g2.  So with r = rint(g2) and
-    d = g2 - r, exact in [-1/2, 1/2], the sign of T - r - c for c = +-1/2 is
-    the sign of d - c, or where d = c that of g1, or where g1 = 0 of g0.
+    10^k is _POW10[k] + _POW10_LO[k], and for the Dekker product (h, l) =
+    x _POW10[k], h is at least 2^53, so an even integer.  For k <= 22, where
+    10^k is exact, the result is h + rint(l), as np.rint rounds half to even.
+    For k > 22 the tail l + x _POW10_LO[k] is summed exactly into the
+    nonoverlapping expansion g0 + g1 + g2 (Knuth's two-sum grown as in
+    Shewchuk 1997).  The tail is below 2^11, so g0 + g1 lies below both
+    2^-40 and the lowest bit of g2, and rint(g2) rounds the tail too, except
+    where g2 lies halfway, at the even r = rint(g2) +- 1/2: the sign of
+    g0 + g1 then decides.
     """
+    h, l = _two_product(x, k, _POW10_PARTS)
+    m = h.astype(np.int64)
+    m += np.rint(l).astype(np.int64)
     far = np.flatnonzero(k > 22)
-    h1, l1 = _two_product(x[far], k[far] - 22, _POW10_PARTS)
-    x = x.copy()
-    x[far] = h1
-    h, g2 = _two_product(x, np.minimum(k, 22), _POW10_PARTS)
-    g1, g0 = np.zeros_like(g2), np.zeros_like(g2)
-    h3, l3 = _two_product(l1, 22, _POW10_PARTS)
-    q, g0_far = _two_sum(h3, g2[far])
-    q2, g0[far] = _two_sum(l3, g0_far)
-    g2[far], g1[far] = _two_sum(q2, q)
-    r = np.rint(g2)
-    d = g2 - r
-    lower = np.where(g1 != 0.0, g1, g0)
-    above = np.where(d != 0.5, d - 0.5, lower)
-    below = np.where(d != -0.5, d + 0.5, lower)
-    odd = (r.astype(np.int64) & 1).astype(bool)
-    up = (above > 0.0) | ((above == 0.0) & odd)
-    down = (below < 0.0) | ((below == 0.0) & odd)
-    return h.astype(np.int64) + r.astype(np.int64) + up - down
+    if far.size:
+        h3, l3 = _two_product(x[far], k[far], _POW10_LO_PARTS)
+        q, g0 = _two_sum(h3, l[far])
+        q2, g0 = _two_sum(l3, g0)
+        g2, g1 = _two_sum(q2, q)
+        r = np.rint(g2)
+        lower = g1 + g0
+        m[far] = (h[far].astype(np.int64) + r.astype(np.int64)
+                  + ((g2 - r == 0.5) & (lower > 0.0)) - ((g2 - r == -0.5) & (lower < 0.0)))
+    return m
 
 
 def _two_product(a: np.ndarray, k: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -720,7 +715,16 @@ def _two_product(a: np.ndarray, k: np.ndarray, table: tuple) -> tuple[np.ndarray
     h = a * b[k]
     a_hi, a_lo = _split(a)
     b_hi, b_lo = b_hi[k], b_lo[k]
-    return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # ((a_hi b_hi - h) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in place
+    l = a_hi * b_hi
+    l -= h
+    a_hi *= b_lo
+    l += a_hi
+    b_hi *= a_lo
+    l += b_hi
+    b_lo *= a_lo
+    l += b_lo
+    return h, l
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -738,3 +742,4 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _POW10_PARTS = (_POW10, *_split(_POW10))
+_POW10_LO_PARTS = (_POW10_LO, *_split(_POW10_LO))

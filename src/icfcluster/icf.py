@@ -364,8 +364,8 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # the rows of P are read in blocks of about this many values, so the exact
-# reader's temporaries, about 200 bytes a value, stay near a megabyte
-_READ_BLOCK = 2 ** 12
+# reader's temporaries, about 120 bytes a value, stay near a megabyte
+_READ_BLOCK = 2 ** 13
 
 
 def _read_P(rows: list[str], s: int) -> np.ndarray:

@@ -173,6 +173,18 @@ class TestNystromBaseline:
         assert str(info.value) == ("subset_size=1000000 needs a dense 1000000 x 1000000 block of Gram columns, "
                                    "more than this machine's memory")
 
+    def test_a_sample_whose_peak_passes_memory_is_refused_by_name(self, physical_memory):
+        # one 400 x 100 block of Gram columns fits in this memory; beside it,
+        # kernel_columns' temporary and eigh of the 100 x 100 K_BB do not
+        ds = rand_dataset(0, 400, 2)
+        physical_memory(int(1.5 * 400 * 100 * 8))
+        for build in (lambda: nystrom_embedding(ds, GAUSS, 100, seed=0),
+                      lambda: approx_kkmeans(ds, GAUSS, subset_size=100, k=2, seed=0)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == ("subset_size=100 needs 3.2725 times a dense 400 x 100 block of Gram "
+                                       "columns, more than this machine's memory")
+
     def test_zero_sampled_block_rejected(self):
         ds = Dataset(np.zeros((6, 2)))
         spec = KernelSpec(family="linear")
@@ -221,6 +233,25 @@ class TestRandomFourierFeatures:
             rff_embedding(ds, GAUSS, 10 ** 6, seed=0)
         assert str(info.value) == ("num_features=1000000 needs a dense 1000000 x 1000000 feature matrix, "
                                    "more than this machine's memory")
+
+    def test_features_whose_peak_passes_memory_are_refused_by_name(self, physical_memory):
+        # one 400 x 100 feature matrix fits in this memory, two do not
+        ds = rand_dataset(0, 400, 2)
+        physical_memory(int(1.5 * 400 * 100 * 8))
+        with pytest.raises(ValueError) as info:
+            rff_embedding(ds, GAUSS, 100, seed=0)
+        assert str(info.value) == ("num_features=100 needs 2 times a dense 400 x 100 feature matrix, "
+                                   "more than this machine's memory")
+
+    def test_peak_memory_is_the_features_and_the_norms_squares(self):
+        ds = gen_synthetic("ring", 1000, 0.05, 0)
+        tracemalloc.start()
+        try:
+            Z = rff_embedding(ds, KernelSpec(sigma=16.0), 500, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * Z.nbytes
 
     def test_requires_gaussian_kernel(self):
         ds = rand_dataset(0, 5, 2)

@@ -863,6 +863,89 @@ class TestToLibsvm:
                                  "12 1:3.0 2:1e-300 3:9007199254740992.0\n")
 
 
+def exact_significand(x: float, k: int) -> int:
+    """round_half_even(x 10^k), in Python integers."""
+    p, q = x.as_integer_ratio()
+    m, r = divmod(p * 10 ** k, q)
+    return m + (2 * r > q or (2 * r == q and m % 2 == 1))
+
+
+def near_halves(k: int, rng: np.random.Generator, draws: int = 64) -> list[float]:
+    """Doubles x = p 2^-(j + k) whose x 10^k = p 5^k / 2^j lies within
+    2^12 / 2^j of a half-integer (exactly on it at a zero offset): p is
+    solved from the offset modulo 2^j, as 5^k is odd, and moved into
+    [2^52, 2^53) by multiples of 2^j where there are any.  j runs over the
+    powers that put x 10^k near [1e16, 2^63)."""
+    five, out = 5 ** k, []
+    for j in range(max(1, five.bit_length() - 12), five.bit_length()):
+        inv = pow(five, -1, 2 ** j)
+        for offset in rng.integers(-2 ** 12, 2 ** 12, draws).tolist():
+            base = (2 ** (j - 1) + offset) * inv % 2 ** j
+            lo, hi = -(-(2 ** 52 - base) // 2 ** j), (2 ** 53 - 1 - base) // 2 ** j
+            if lo <= hi:
+                out.append(float(base + 2 ** j * int(rng.integers(lo, hi + 1))) * 2.0 ** (-j - k))
+    return out
+
+
+class TestSignificands:
+    """data._significands against exact_significand, where x 10^k is in
+    [1e16, 2^63): one Dekker product where 10^k is exact (k <= 22), its tail
+    rounded exactly beyond."""
+
+    @staticmethod
+    def check(x, k) -> int:
+        x, k = np.asarray(x, np.float64), np.broadcast_to(np.asarray(k, np.int64), np.shape(x))
+        want = np.array([exact_significand(v, e) for v, e in zip(x.tolist(), k.tolist())], dtype=object)
+        served = (want >= 10 ** 16) & (want < 2 ** 63)
+        got = data._significands(x[served], k[served])
+        assert got.tolist() == want[served].tolist()
+        return int(served.sum())
+
+    @pytest.mark.parametrize("k", range(1, 28))
+    def test_exact_ties(self, k):
+        # x = odd / 2^(k + 1), exact for odd < 2^53, puts x 10^k = odd 5^k / 2
+        # halfway between two integers; every such odd where there are at
+        # most 2^12, else 2^10 at each end of the range and 2^11 drawn
+        five = 5 ** k
+        first = -(-2 * 10 ** 16 // five) | 1
+        stop = min(2 ** 53, 2 ** 64 // five + 1)
+        count = (stop - first + 1) // 2
+        if count <= 2 ** 12:
+            odd = list(range(first, stop, 2))
+        else:
+            drawn = np.random.default_rng(k).integers(0, count, 2 ** 11).tolist()
+            picks = [*range(2 ** 10), *range(count - 2 ** 10, count), *drawn]
+            odd = [first + 2 * i for i in picks]
+        assert self.check([o / 2 ** (k + 1) for o in odd], k) >= min(count, 2 ** 12) - 1
+
+    def test_near_halves(self):
+        # the draws lie within 2^12 / 2^j of a half-integer; from about
+        # k = 20 on some lie within 2^-40, where only the tail's lowest parts
+        # decide how x 10^k rounds
+        rng = np.random.default_rng(11)
+        for k in range(18, 30):
+            assert self.check(near_halves(k, rng), k) > 0
+
+    @pytest.mark.parametrize("k", range(1, 45))
+    def test_random_values(self, k):
+        rng = np.random.default_rng(100 + k)
+        x = 10.0 ** rng.uniform(16 - k, 63 * np.log10(2) - k, 2000)
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+        assert self.check(x, k) >= 5900
+
+    def test_arrays_that_mix_exact_and_rounded_powers(self):
+        # one call over every k, so values with k <= 22 and k > 22 sit side
+        # by side, in a random order
+        rng = np.random.default_rng(7)
+        k = rng.permutation(np.repeat(np.arange(1, 45), 200))
+        x = 10.0 ** rng.uniform(16 - k, 63 * np.log10(2) - k)
+        halves = [(v, j) for j in range(18, 30) for v in near_halves(j, rng, 8)]
+        ties = [(o / 2 ** (j + 1), j) for j in range(20, 28) for o in (1, 3, 5, 7)]
+        extra_x, extra_k = zip(*halves, *ties)
+        order = rng.permutation(k.size + len(extra_k))
+        assert self.check(np.concatenate([x, extra_x])[order], np.concatenate([k, extra_k])[order]) > 8000
+
+
 class TestGenSynthetic:
     def test_sizes_and_labels(self):
         ds = gen_synthetic("ring", 500, 0.1, 42)
