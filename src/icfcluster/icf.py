@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (_PAIRS, Dataset, _decimal, _digits, _must_fit, _read_only, _significands, _split,
-                   _two_product, _ValueType)
+from .data import (_PAIRS, _POW10, _POW10_LO, Dataset, _decimal, _digits, _must_fit, _read_only,
+                   _significands, _ValueType)
 from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative, by an amount that
@@ -251,8 +251,9 @@ def dump_factor(factor: IcfFactor) -> str:
     ])
 
 
-# the dump is formatted in blocks of about this many values, so the writer's
-# temporaries stay near a megabyte whatever the size of the factor
+# the dump is written and read in blocks of about this many values, so the
+# temporaries of the writer and of the exact reader stay near a megabyte
+# whatever the size of the factor
 _DUMP_BLOCK = 2 ** 13
 
 # one formatted value is a fixed-width record of 28 bytes: 0-1 filler, 2 the
@@ -297,20 +298,6 @@ def _format_rows(a: np.ndarray) -> str:
         rec[other, :26] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 26)
     return rec.tobytes().translate(None, b"\0").decode("ascii")
 
-
-def _inverse_powers() -> tuple:
-    """10^-k for k = 0..44 as hi + lo to about 2^-106, with hi split as _split does.
-
-    Python divides integers correctly rounded, so lo is 10^-k - hi rounded
-    once; hi = p / q exactly, as float.as_integer_ratio gives it.
-    """
-    hi = 10.0 ** -np.arange(45)
-    lo = np.array([(q - p * 10 ** k) / (q * 10 ** k)
-                   for k, (p, q) in enumerate(map(float.as_integer_ratio, hi.tolist()))])
-    return (hi, *_split(hi)), lo
-
-
-_INV10_PARTS, _INV10_LO = _inverse_powers()
 
 # with its sign taken out, a value written as %.17e with a two-digit exponent
 # is a record of 24 bytes: a digit, ".", 17 digits, "e", the exponent's sign,
@@ -363,13 +350,8 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pivots, P, history
 
 
-# the rows of P are read in blocks of about this many values, so the exact
-# reader's temporaries, about 120 bytes a value, stay near a megabyte
-_READ_BLOCK = 2 ** 13
-
-
 def _read_P(rows: list[str], s: int) -> np.ndarray:
-    """The rows of P, read a block of about _READ_BLOCK values (whole rows) at a time.
+    """The rows of P, read a block of about _DUMP_BLOCK values (whole rows) at a time.
 
     A block of records as dump_factor writes them with two-digit exponents
     is read by _exact_rows; any other goes to _read_rows, which names the
@@ -377,7 +359,7 @@ def _read_P(rows: list[str], s: int) -> np.ndarray:
     a single _read_rows call over every row would name it.
     """
     P = np.empty((len(rows), s))
-    step = max(1, _READ_BLOCK // max(s, 1))
+    step = max(1, _DUMP_BLOCK // max(s, 1))
     for first in range(0, len(rows), step):
         block = rows[first:first + step]
         exact = _exact_rows(block, s) if s else None
@@ -391,12 +373,13 @@ def _exact_rows(rows: list[str], s: int) -> np.ndarray | None:
     "\n"; else None.
 
     Where a record's 18-digit significand M is at least 10^17 and its
-    exponent E lies in [-27, 16], x = M 10^(E - 17) is formed in
-    double-double arithmetic and kept if _significands(x, 17 - E) = M.  Then
-    the token lies within 5e-18 x of x, and the nearest other double is more
-    than 2^-54 x = 5.55e-17 x away, on either side, power of two or not; so x
-    is the token correctly rounded, as float() reads it.  Every other nonzero
-    record is read by float().
+    exponent E lies in [-27, 16], x ~ M 10^(E - 17) is the float64 quotient
+    M / 10^(17 - E) after one correction step, and is kept if
+    _significands(x, 17 - E) = M.  Then the token lies within 5e-18 x of x,
+    and the nearest other double is more than 2^-54 x = 5.55e-17 x away, on
+    either side, power of two or not; so x is the token correctly rounded,
+    as float() reads it.  Every other nonzero record is read by float(); the
+    check fails for about 0.5% of the values of a factor's dump.
     """
     records = _records(rows, s)
     if records is None:
@@ -410,23 +393,15 @@ def _exact_rows(rows: list[str], s: int) -> np.ndarray | None:
     # clipped, k keeps M 10^-k 10^k below 10^18; what the records already
     # slow get from the check does not matter
     np.clip(k, 1, 44, out=k)
-    x = _quotients(m, k)
+    mh = m.astype(np.float64)
+    x = mh / _POW10[k]
+    # one step takes out the roundings of M and of 10^k = _POW10 + _POW10_LO
+    x += ((m - mh.astype(np.int64)) - x * _POW10_LO[k]) / _POW10[k]
     slow |= _significands(x, k) != m
     for i in np.flatnonzero(slow).tolist():
         x[i] = float((digits[i, :23] + _LOW[:23]).tobytes())
     x[negative] *= -1.0
     return x.reshape(len(rows), s)
-
-
-def _quotients(m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """M 10^-k for M < 10^18, rounded once from the double-double
-    mh hi + (mh lo + ml hi), where M = mh + ml exactly and 10^-k ~ hi + lo."""
-    mh = m.astype(np.float64)
-    ml = (m - mh.astype(np.int64)).astype(np.float64)
-    x, err = _two_product(mh, k, _INV10_PARTS)
-    err += mh * _INV10_LO[k]
-    err += ml * _INV10_PARTS[0][k]
-    return x + err
 
 
 def _records(rows: list[str], s: int) -> tuple[np.ndarray, np.ndarray] | None:

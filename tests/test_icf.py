@@ -667,13 +667,27 @@ class TestDumpAndParse:
         got = icf._exact_rows([" ".join(tokens)], len(tokens))
         assert got.tobytes() == np.array([list(map(float, tokens))]).tobytes()
 
-    def test_exact_rows_read_a_token_a_product_rounds_twice_by_float(self):
+    def test_exact_rows_read_a_token_the_quotient_misses_by_float(self):
         # within 1e-34 of its size of the point halfway between two doubles:
-        # the double-double product of M and 10^-25 rounds it to the odd one
+        # the corrected quotient M / 10^25 lands on ...238p-26, the neighbour
+        # of float's ...237p-26, and the significand check sends it to float
         token = "2.00242969969417196e-08"
-        assert icf._quotients(np.array([200242969969417196]), np.array([25]))[0] != float(token)
         assert icf._exact_rows([token], 1)[0, 0] == float(token)
         assert parse_factor_dump(f"ICF 1 1\n0\n{token}\n1.0 0.5\n")[1][0, 0] == float(token)
+
+    def test_exact_rows_leave_few_values_to_float(self, monkeypatch):
+        # the io-roundtrip benchmark's seed-11 factor: the corrected quotient
+        # passes the significand check for about 99.5% of its values, and
+        # M / 10^k uncorrected for about 92%
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 10, 5_000)
+        points = rng.normal(0.0, 1.5, (10, 16))[labels] + rng.normal(size=(5_000, 16))
+        f = icf_factorize(Dataset(points, labels=labels), KernelSpec(sigma=0.02), max_rank=50)
+        rows = dump_factor(f).splitlines()[2:-1]
+        calls = []
+        monkeypatch.setattr(icf, "float", lambda token: calls.append(token) or float(token), raising=False)
+        assert icf._read_P(rows, 50).tobytes() == f.P.tobytes()
+        assert len(calls) < 0.01 * f.P.size
 
     def test_parse_rejects_a_short_row(self):
         ds = rand_dataset(2, 6, 2)

@@ -561,14 +561,14 @@ def two_rows(first):
 
 @settings(SETTINGS, max_examples=250)
 @given(faulty_dumps())
-# a near tie the double-double product rounds to the wrong side, and a doubled sign
+# a near tie the corrected quotient rounds to the wrong side, and a doubled sign
 @example((two_rows("2.00242969969417196e-08"), 4))
 @example((two_rows("--2.00000000000000000e-08"), 4))
 def test_the_reader_gives_the_bits_or_the_error_of_one_read_over_every_row(case):
     text, block = case
     expected = read_outcome(parent_reader, text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(icf, "_READ_BLOCK", block)
+        mp.setattr(icf, "_DUMP_BLOCK", block)
         assert read_outcome(parse_factor_dump, text) == expected
 
 
