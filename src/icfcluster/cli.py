@@ -15,7 +15,7 @@ import sys
 import time
 
 from .cluster import MAX_ITER, lloyd
-from .data import gen_synthetic, parse_libsvm, standardize, to_libsvm
+from .data import _BLOCK_CHARS, gen_synthetic, parse_libsvm, standardize, to_libsvm
 from .evaluate import BenchmarkConfig, _accuracy_of, run_benchmark
 from .icf import EPSILON, dump_factor, icf_factorize, residual_trace
 from .kernel import DEFAULT_GUARD, KernelSpec
@@ -179,11 +179,6 @@ def _load_dataset(args):
     return dataset
 
 
-# text is encoded and written this many characters at a time, so no encoded
-# copy of the whole text is held: a slice and its encoding stay near a megabyte
-_WRITE_CHARS = 1 << 18
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temp file beside it; an error names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-icfcluster-{os.urandom(8).hex()}")
@@ -191,8 +186,8 @@ def _write_atomic(path: str, text: str) -> None:
         f = open(tmp, "xb")  # a new file, which gets the umask's mode
         try:
             with f:
-                for start in range(0, len(text), _WRITE_CHARS):
-                    f.write(text[start:start + _WRITE_CHARS].encode("utf-8"))
+                for start in range(0, len(text), _BLOCK_CHARS):
+                    f.write(text[start:start + _BLOCK_CHARS].encode("utf-8"))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _must_fit, _read_only, _rng, _ValueType
+from .data import _BLOCK_ENTRIES, Dataset, _must_fit, _read_only, _rng, _ValueType
 from .icf import RANK_TOL
 from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, full_gram
 
@@ -22,10 +22,6 @@ from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, full_gram
 # fraction of it, and by default after MAX_ITER iterations
 TOL = 1e-6
 MAX_ITER = 1000
-
-# entries per block of the difference passes in _sq_dists (n x b columns)
-# and of the moved points and their indicators in _add_moves (512 KB)
-_BLOCK_SIZE = 1 << 16
 
 
 @dataclass(eq=False)
@@ -147,8 +143,7 @@ def lloyd(points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER) -> Cl
     for _ in range(max_iter):
         np.matmul(-2.0 * offsets, points.T, out=scores)
         scores += (norms + 2.0 * (offsets @ mean))[:, None]
-        new_assign = _repair_empty(points, centers, _lowest_rows(scores), k)
-        counts = np.bincount(new_assign, minlength=k)
+        new_assign, counts = _repair_empty(points, centers, _lowest_rows(scores), k)
         if assign is None:
             moved = n
             np.equal(np.arange(k)[:, None], new_assign, out=scores)  # the one-hot matrix
@@ -221,9 +216,9 @@ def _lowest_rows(scores: np.ndarray) -> np.ndarray:
 def _add_moves(shift: np.ndarray, points: np.ndarray, mean: np.ndarray, changed: np.ndarray,
                old: np.ndarray, new: np.ndarray) -> None:
     """Add the points changed (indices) to shift[new] and subtract them from shift[old],
-    about the mean, in blocks whose m x s points and k x m indicators fit _BLOCK_SIZE entries."""
+    about the mean, in blocks whose m x s points and k x m indicators fit _BLOCK_ENTRIES entries."""
     k, s = shift.shape
-    rows, ids = max(1, _BLOCK_SIZE // max(s, k)), np.arange(k)[:, None]
+    rows, ids = max(1, _BLOCK_ENTRIES // max(s, k)), np.arange(k)[:, None]
     for lo in range(0, changed.size, rows):
         idx = changed[lo:lo + rows]
         block = points[idx]
@@ -267,13 +262,13 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None
 
     Each row's squared differences are summed over s in column order, so the
     result has the same bits for any memory layout.  The differences are
-    formed n x b columns at a time, b = max(1, _BLOCK_SIZE // n), in a
+    formed n x b columns at a time, b = max(1, _BLOCK_ENTRIES // n), in a
     column-major buffer whose column 0 holds the running sums: reducing its
     columns adds one column after another.  The buffer has at least two rows,
     since numpy sums a lone row pairwise.  No n x s temporary is made.
     """
     n, s = points.shape
-    cols = max(1, _BLOCK_SIZE // max(n, 1))
+    cols = max(1, _BLOCK_ENTRIES // max(n, 1))
     out = np.zeros(max(n, 2))
     buf = np.zeros((out.size, min(s, cols) + 1), order="F")
     for j0 in range(0, s, cols):
@@ -292,15 +287,17 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, assign: np.ndarray | None
     return out[:n]
 
 
-def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """Give every empty cluster the farthest point it can steal.
+def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Give every empty cluster the farthest point it can steal; return the
+    assignments and the cluster sizes.
 
     Donor points must come from clusters of size >= 2 so repairs never empty
     another cluster; with k <= n such a donor always exists.
     """
     counts = np.bincount(assign, minlength=k)
     if np.all(counts > 0):
-        return assign
+        return assign, counts
     assign = assign.copy()
     for j in np.flatnonzero(counts == 0):
         donors = np.flatnonzero(counts[assign] >= 2)
@@ -308,4 +305,4 @@ def _repair_empty(points: np.ndarray, centers: np.ndarray, assign: np.ndarray, k
         counts[assign[far]] -= 1
         assign[far] = j
         counts[j] = 1
-    return assign
+    return assign, counts

@@ -23,19 +23,21 @@ import numpy as np
 
 _SYNTH_KINDS = ("ring", "parabolic", "zigzag")
 
-# LIBSVM text is converted one block of about this many characters at a time,
-# so a block's token lists, not the whole text's, sit beside the rows read
+# every blocked pass keeps its temporaries near a megabyte whatever the size
+# of its input: text is read, converted or encoded _BLOCK_CHARS characters at
+# a time, float64 values are formatted or read as text _TEXT_BLOCK at a time,
+# and a blocked numpy pass holds _BLOCK_ENTRIES entries
 _BLOCK_CHARS = 1 << 17
+_TEXT_BLOCK = 2 ** 13
+_BLOCK_ENTRIES = 2 ** 16
 
 # a block is cut just after one of str.splitlines' line breaks, never between
 # the CR and LF of a CRLF.  Bytes are cut after \x85, \u2028 and \u2029 only
 # at their whole UTF-8 sequences, which begin with a lead byte, so a cut never
-# splits a character.  A file's cut is looked for in pieces of at most
-# _LINE_CHARS, and never more than _BLOCK_CHARS, so what is read past it fits
-# in the next block
+# splits a character.  A file's cut is looked for in pieces of 1/32 of
+# _BLOCK_CHARS, so what is read past it fits in the next block
 _BREAKS = re.compile("\r\n?|[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _BYTE_BREAKS = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
-_LINE_CHARS = 1 << 12
 
 # every byte but the space and the colon, deleted to leave the order in which
 # those two occur
@@ -213,7 +215,7 @@ def to_libsvm(dataset: Dataset) -> str:
     Each value is written as repr writes it: the fewest significant digits
     that read back to the same float64, nearest the value among those, so
     parse_libsvm(to_libsvm(ds)) reproduces the points bit for bit.  The rows
-    are formatted a block of about _WRITE_BLOCK values at a time, the digits
+    are formatted a block of about _TEXT_BLOCK values at a time, the digits
     from exact significands (_shortest); a value whose digits they leave
     undecided is formatted by repr itself.
     """
@@ -227,7 +229,7 @@ def to_libsvm(dataset: Dataset) -> str:
     width = head + _FIELD + 2
     records = "".join([f" {j}:".ljust(width, "\0") for j in range(d + 1)])[:-1] + "\n"
     pattern = np.frombuffer(records.encode(), np.uint8).reshape(d + 1, width)
-    rows, parts = max(1, _WRITE_BLOCK // d), []
+    rows, parts = max(1, _TEXT_BLOCK // d), []
     for i in range(0, dataset.n, rows):
         labels, points = dataset.labels[i:i + rows], dataset.points[i:i + rows]
         rec = np.empty((len(labels), d + 1, width), np.uint8)
@@ -326,7 +328,7 @@ def _blocks(text):
             yield text[start:end]
             start = end
         return
-    block, piece = text.read(_BLOCK_CHARS), min(_LINE_CHARS, _BLOCK_CHARS)
+    block, piece = text.read(_BLOCK_CHARS), max(1, _BLOCK_CHARS >> 5)
     while block:
         breaks, cr, lf = (_BREAKS, "\r", "\n") if isinstance(block, str) else (_BYTE_BREAKS, b"\r", b"\n")
         parts, cut, tail = [block], None, block[:0]
@@ -528,10 +530,6 @@ def _opened(source):
     raise TypeError(f"unsupported source type {type(source)!r}")
 
 
-# LIBSVM text is written in blocks of about this many values, so the writer's
-# temporaries stay at about two megabytes whatever the size of the dataset
-_WRITE_BLOCK = 2 ** 13
-
 # a value's field of bytes: 0 the sign, 1-5 "0." and the zeros in front of the
 # digits of a positional value below 1, 6-39 17 slots of a digit and the byte
 # after it ("." or filler), and 40-43 "e", the exponent's sign and two digits.
@@ -685,12 +683,13 @@ def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     10^k is _POW10[k] + _POW10_LO[k], and for the Dekker product (h, l) =
     x _POW10[k], h is at least 2^53, so an even integer.  For k <= 22, where
     10^k is exact, the result is h + rint(l), as np.rint rounds half to even.
-    For k > 22 the tail l + x _POW10_LO[k] is summed exactly into the
-    nonoverlapping expansion g0 + g1 + g2 (Knuth's two-sum grown as in
-    Shewchuk 1997).  The tail is below 2^11, so g0 + g1 lies below both
-    2^-40 and the lowest bit of g2, and rint(g2) rounds the tail too, except
-    where g2 lies halfway, at the even r = rint(g2) +- 1/2: the sign of
-    g0 + g1 then decides.
+    For k > 22 the tail l + h3 + l3, with (h3, l3) = x _POW10_LO[k], is
+    summed exactly into g1 + g2: q + g0 = h3 + l by Knuth's two-sum, then
+    l3 + g0, exact as both are multiples of u = ulp(x) 2^k (as the tables
+    are) and the sum is at most 2^-104 h < 2^52 u, plus q by another.  The
+    tail is below 2^11, so g1 lies below both 2^-40 and the lowest bit of
+    g2, and rint(g2) rounds the tail too, except where g2 lies halfway, at
+    the even r = rint(g2) +- 1/2: the sign of g1 then decides.
     """
     h, l = _two_product(x, k, _POW10_PARTS)
     m = h.astype(np.int64)
@@ -699,12 +698,10 @@ def _significands(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     if far.size:
         h3, l3 = _two_product(x[far], k[far], _POW10_LO_PARTS)
         q, g0 = _two_sum(h3, l[far])
-        q2, g0 = _two_sum(l3, g0)
-        g2, g1 = _two_sum(q2, q)
+        g2, g1 = _two_sum(l3 + g0, q)
         r = np.rint(g2)
-        lower = g1 + g0
         m[far] = (h[far].astype(np.int64) + r.astype(np.int64)
-                  + ((g2 - r == 0.5) & (lower > 0.0)) - ((g2 - r == -0.5) & (lower < 0.0)))
+                  + ((g2 - r == 0.5) & (g1 > 0.0)) - ((g2 - r == -0.5) & (g1 < 0.0)))
     return m
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (_PAIRS, _POW10, _POW10_LO, Dataset, _decimal, _digits, _must_fit, _read_only,
-                   _significands, _ValueType)
+from .data import (_PAIRS, _POW10, _POW10_LO, _TEXT_BLOCK, Dataset, _decimal, _digits, _must_fit,
+                   _read_only, _significands, _ValueType)
 from .kernel import DEFAULT_GUARD, KernelSpec, _must_fit_square, kernel_column, kernel_diag
 
 # residual diagonal entries may round slightly negative, by an amount that
@@ -230,7 +230,7 @@ def dump_factor(factor: IcfFactor) -> str:
     """Serialize a factor to text: header, pivots, P rows, trace history.
 
     Values are written as %.17e, which round-trips float64 exactly.  The
-    rows of P are formatted a block of about _DUMP_BLOCK values at a time
+    rows of P are formatted a block of about _TEXT_BLOCK values at a time
     (_format_rows), and the text equals "%.17e" % v for every value.  A value
     that is NaN or infinite, which parse_factor_dump would refuse, raises
     ValueError naming the first such row of P, or the trace history, before
@@ -242,7 +242,7 @@ def dump_factor(factor: IcfFactor) -> str:
         raise ValueError(f"cannot dump: row {int(np.argmin(finite))} of P holds a non-finite value")
     if not np.isfinite(history).all():
         raise ValueError("cannot dump: the trace history holds a non-finite value")
-    rows = max(1, _DUMP_BLOCK // max(factor.s, 1))
+    rows = max(1, _TEXT_BLOCK // max(factor.s, 1))
     return "".join([
         f"ICF {factor.n} {factor.s}\n",
         " ".join(map(str, factor.pivots.tolist())) + "\n",
@@ -250,11 +250,6 @@ def dump_factor(factor: IcfFactor) -> str:
         _format_rows(history[None, :]),
     ])
 
-
-# the dump is written and read in blocks of about this many values, so the
-# temporaries of the writer and of the exact reader stay near a megabyte
-# whatever the size of the factor
-_DUMP_BLOCK = 2 ** 13
 
 # one formatted value is a fixed-width record of 28 bytes: 0-1 filler, 2 the
 # sign or filler, 3 the first digit, 4 the point, 5-21 the other 17 digits,
@@ -351,7 +346,7 @@ def parse_factor_dump(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _read_P(rows: list[str], s: int) -> np.ndarray:
-    """The rows of P, read a block of about _DUMP_BLOCK values (whole rows) at a time.
+    """The rows of P, read a block of about _TEXT_BLOCK values (whole rows) at a time.
 
     A block of records as dump_factor writes them with two-digit exponents
     is read by _exact_rows; any other goes to _read_rows, which names the
@@ -359,7 +354,7 @@ def _read_P(rows: list[str], s: int) -> np.ndarray:
     a single _read_rows call over every row would name it.
     """
     P = np.empty((len(rows), s))
-    step = max(1, _DUMP_BLOCK // max(s, 1))
+    step = max(1, _TEXT_BLOCK // max(s, 1))
     for first in range(0, len(rows), step):
         block = rows[first:first + step]
         exact = _exact_rows(block, s) if s else None

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _must_fit
+from .data import _BLOCK_ENTRIES, Dataset, _must_fit
 
 DEFAULT_GUARD = 5000
-
-# full_gram fills K in blocks of at most this many entries, so the block's
-# temporaries stay near 1 MB beside K whatever n is
-_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from icfcluster import (
     psd_embedding,
 )
 from icfcluster import cluster
-from icfcluster.cluster import _BLOCK_SIZE, _add_moves, _lowest_rows, _repair_empty, _sq_dists
+from icfcluster.cluster import _BLOCK_ENTRIES, _add_moves, _lowest_rows, _repair_empty, _sq_dists
 from icfcluster.kernel import full_gram
 
 GAUSS = KernelSpec(sigma=0.5)
@@ -193,7 +193,7 @@ class TestLloyd:
 
     def test_peak_is_one_score_matrix(self):
         # the scores and the first iteration's one-hot matrix share one k x n
-        # buffer, and the moved points' one-hot blocks stay within _BLOCK_SIZE
+        # buffer, and the moved points' one-hot blocks stay within _BLOCK_ENTRIES
         pts, k = rand_points(1, 10_000, 2), 1000
         tracemalloc.start()
         try:
@@ -391,7 +391,7 @@ def column_loop_sq_dists(points, centers, assign=None):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("s", [1, 7, 130])
 def test_sq_dists_sums_in_column_order_in_both_forms(n, order, s):
-    # the sum runs over blocks of as many whole columns as _BLOCK_SIZE holds;
+    # the sum runs over blocks of as many whole columns as _BLOCK_ENTRIES holds;
     # both forms must give the plain loop's bits in either layout, a lone row
     # included
     rng = np.random.default_rng(n + s)
@@ -406,7 +406,7 @@ def test_sq_dists_sums_in_column_order_in_both_forms(n, order, s):
 
 @pytest.mark.parametrize("n, s", [(600, 600), (10_992, 500), (200_000, 3)])
 def test_sq_dists_holds_one_block_of_differences(n, s):
-    # both forms hold at most _BLOCK_SIZE differences plus a few n-vectors
+    # both forms hold at most _BLOCK_ENTRIES differences plus a few n-vectors
     # (the running sums and the result) and numpy's ufunc buffer, whatever
     # the shape; at 200,000 x 3 a block is one column
     rng = np.random.default_rng(n)
@@ -419,7 +419,7 @@ def test_sq_dists_holds_one_block_of_differences(n, s):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (_BLOCK_SIZE + np.getbufsize() + 4 * n)
+        assert peak < 8 * (_BLOCK_ENTRIES + np.getbufsize() + 4 * n)
 
 
 @pytest.mark.parametrize("k,n,s", [(10, 10_000, 100), (1000, 5_000, 2)])
@@ -439,7 +439,7 @@ def test_moving_every_point_gathers_one_block_at_a_time(k, n, s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * _BLOCK_SIZE
+    assert peak < 3 * 8 * _BLOCK_ENTRIES
     expected = (one_hot(new, k) - one_hot(old, k)) @ (P - mean)
     np.testing.assert_allclose(shift, expected, rtol=1e-10, atol=1e-10 * float(np.abs(expected).max()))
 
@@ -477,7 +477,7 @@ def oracle_lloyd(points, k, seed, max_iter=1000, tol=1e-6):
         offsets = centers - mean
         scores = (-2.0 * offsets) @ points.T
         scores += (np.einsum("ij,ij->i", offsets, offsets) + 2.0 * (offsets @ mean))[:, None]
-        new_assign = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
+        new_assign, _ = _repair_empty(points, centers, np.argmin(scores, axis=0), k)
         if assign is not None and np.array_equal(new_assign, assign):
             converged = True
             break

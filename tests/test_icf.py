@@ -581,7 +581,7 @@ class TestDumpAndParse:
     def test_text_equals_percent_format_across_block_edges(self):
         rng = np.random.default_rng(29)
         s = 3
-        n = 2 * (icf._DUMP_BLOCK // s) + 7
+        n = 2 * (icf._TEXT_BLOCK // s) + 7
         P = rng.normal(size=(n, s)) * 10.0 ** rng.uniform(-40.0, 30.0, (n, s))
         P[rng.random((n, s)) < 0.1] = 0.0
         history = np.array([2.0, 1.5e-30, 1e20, 0.0])

@@ -487,7 +487,7 @@ def faulty_dumps(draw):
     factor = IcfFactor(P, draw(st.permutations(range(n)))[:s], np.zeros(n),
                        dump_values(rng, tuple(DUMP_VALUES), s + 1), 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(icf, "_DUMP_BLOCK", block)
+        mp.setattr(icf, "_TEXT_BLOCK", block)
         lines = dump_factor(factor).split("\n")
     rows = [line.split(" ") if s else [] for line in lines[2:2 + n]]
     # seps[i][j] stands between values j and j + 1 of row i, ends[i] after the last
@@ -568,7 +568,7 @@ def test_the_reader_gives_the_bits_or_the_error_of_one_read_over_every_row(case)
     text, block = case
     expected = read_outcome(parent_reader, text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(icf, "_DUMP_BLOCK", block)
+        mp.setattr(icf, "_TEXT_BLOCK", block)
         assert read_outcome(parse_factor_dump, text) == expected
 
 
